@@ -22,9 +22,9 @@
 #              crashed node's teardown must leak zero records and credits
 #              beyond the forgiven crashed-epoch residue
 #   scale      the engine scale-out harness (tests labelled `scale`): the
-#              1024-node smoke and the serial-vs-SPLAP_EXEC_THREADS=4
-#              determinism comparisons, run optimized, under ASan+UBSan, and
-#              under SPLAP_AUDIT with the worker lanes forced on
+#              1024-node smoke, the stackless completion-pool equivalence
+#              and the spawn-exhaustion path, run optimized, under
+#              ASan+UBSan, and under SPLAP_AUDIT
 #   partition  the partition / gray-failure harness (tests labelled
 #              `partition`): asymmetric blackholes, split/merge of partition
 #              groups, stragglers under legacy-vs-accrual detection, the
@@ -36,9 +36,8 @@
 #              corruption, and the GA putv/getv wiring — run optimized,
 #              under ASan+UBSan, and under SPLAP_AUDIT
 #   tsan       ThreadSanitizer over the genuinely-concurrent code: the actor
-#              park/unpark handoff (sim_engine_test), the parallel sweep
-#              driver (bench_fig2_bandwidth with SPLAP_SWEEP_THREADS=4), and
-#              the worker-lane determinism tests (scale_test)
+#              park/unpark handoff (sim_engine_test) and the parallel sweep
+#              driver (bench_fig2_bandwidth with SPLAP_SWEEP_THREADS=4)
 #   audit      SPLAP_AUDIT build + full ctest: shadow-state lifecycle and
 #              virtual-time race auditing across every suite, chaos included
 #
@@ -144,12 +143,9 @@ if want recovery; then
 fi
 
 if want scale; then
-  # The engine scale-out machinery end to end: the 1024-node smoke and the
-  # serial-vs-parallel determinism comparisons run optimized, then under
-  # ASan+UBSan, then under the SPLAP_AUDIT race/lifecycle auditor with the
-  # worker lanes forced on for every suite that tolerates it (the audit
-  # tracker serializes its own bookkeeping, so lane races surface as
-  # ordering violations rather than silent corruption).
+  # The engine scale-out machinery end to end: the scale-labelled tests run
+  # optimized, then under ASan+UBSan, then under the SPLAP_AUDIT
+  # race/lifecycle auditor.
   echo "== scale harness (optimized) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j"$(nproc)"
@@ -158,12 +154,10 @@ if want scale; then
   cmake -B build-asan -S . -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
   cmake --build build-asan -j"$(nproc)"
   ctest --test-dir build-asan -L scale --no-tests=error --output-on-failure
-  echo "== scale harness (SPLAP_AUDIT, SPLAP_EXEC_THREADS=4) =="
+  echo "== scale harness (SPLAP_AUDIT) =="
   cmake -B build-audit -S . -DSPLAP_AUDIT=ON >/dev/null
   cmake --build build-audit -j"$(nproc)"
   ctest --test-dir build-audit -L scale --no-tests=error --output-on-failure
-  SPLAP_EXEC_THREADS=4 ./build-audit/tests/scale_test \
-    --gtest_filter='*FabricBurst*:*LapiRing*'
 fi
 
 if want partition; then
@@ -209,13 +203,9 @@ fi
 if want tsan; then
   echo "== thread-sanitized build (TSan) =="
   cmake -B build-tsan -S . -DSPLAP_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-tsan -j"$(nproc)" --target sim_engine_test bench_fig2_bandwidth scale_test
+  cmake --build build-tsan -j"$(nproc)" --target sim_engine_test bench_fig2_bandwidth
   ./build-tsan/tests/sim_engine_test
   SPLAP_SWEEP_THREADS=4 ./build-tsan/bench/bench_fig2_bandwidth
-  # The lookahead-parallel lanes under TSan: the determinism tests run the
-  # same workload serial and with SPLAP_EXEC_THREADS=4, so any unsynchronized
-  # cross-lane access in the engine, fabric or LAPI stack reports here.
-  ./build-tsan/tests/scale_test --gtest_filter='*FabricBurst*:*LapiRing*'
 fi
 
 if want audit; then

@@ -8,7 +8,7 @@
 //
 // Stackless mode (Config::stackless_completions): the pool owns a single
 // stackless identity actor instead of OS threads, and jobs run inline on a
-// pump event scheduled on the owning node's shard. This saves one OS thread
+// pump event under that actor's identity. This saves one OS thread
 // per context — the difference between 2048 and 1024 threads on a 1024-node
 // run — at the price of the stackless contract: a job must return without
 // suspending (no compute()/waitcntr/mutex waits), which holds for the
@@ -31,7 +31,7 @@ class SvcPool {
 
   SvcPool(sim::Engine& engine, const std::string& tag, int threads,
           bool stackless = false, int shard = sim::Engine::kNoShard)
-      : engine_(engine), stackless_(stackless), shard_(shard) {
+      : engine_(engine), stackless_(stackless) {
     SPLAP_REQUIRE(threads >= 1, "need at least one completion thread");
     if (stackless_) {
       // One identity actor is enough: jobs execute inline on the
@@ -85,12 +85,10 @@ class SvcPool {
   void schedule_pump() {
     if (pump_scheduled_) return;
     pump_scheduled_ = true;
-    // Pin to the owning node's shard so parallel-window runs keep
-    // completion effects on the same lane as the rest of the node's
-    // protocol work. `this` is safe: stop() drains the pump before the
-    // owning context tears the pool down, and an engine shutdown sweeps
-    // unrun events without invoking them.
-    engine_.schedule_at_on(engine_.now(), shard_, [this] {
+    // `this` is safe: stop() drains the pump before the owning context tears
+    // the pool down, and an engine shutdown sweeps unrun events without
+    // invoking them.
+    engine_.schedule_at(engine_.now(), [this] {
       pump_scheduled_ = false;
       svc0_->run_inline([this](sim::Actor& self) {
         while (!queue_.empty()) {
@@ -125,7 +123,6 @@ class SvcPool {
 
   sim::Engine& engine_;
   const bool stackless_;
-  const int shard_;
   sim::Actor* svc0_ = nullptr;  // stackless mode: the identity actor
   std::deque<Job> queue_;
   sim::WaitSet waiters_;       // idle service threads

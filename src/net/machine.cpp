@@ -35,8 +35,7 @@ Machine::Machine(Config config)
 Status Machine::run_spmd(const std::function<void(Node&)>& body) {
   for (auto& node : nodes_) {
     Node* n = node.get();
-    // Pinned to the node's shard so the parallel executor may resume the
-    // task from that node's worker lane.
+    // Pinned to the node's shard so kill_node can crash-stop the task.
     try {
       n->task_ = &engine_.spawn_on(n->id(), "task" + std::to_string(n->id()),
                                    [n, body](sim::Actor&) { body(*n); });
@@ -67,18 +66,14 @@ void Machine::kill_node(int node, Time t) {
   SPLAP_REQUIRE(t >= engine_.now(), "cannot crash a node in the virtual past");
   crash_planned_ = true;
   fabric_.add_node_fault(NodeFault{node, t, kNoTime});
-  // Crash windows are global mutable state the worker lanes cannot
-  // partition, and the kill event grants actors across the shard boundary.
-  engine_.mark_parallel_unsafe("crash-stop node fault window");
-  engine_.schedule_at_on(t, sim::Engine::kNoShard,
-                         [this, node] { engine_.kill_shard(node); });
+  engine_.schedule_at(t, [this, node] { engine_.kill_shard(node); });
 }
 
 void Machine::restart_node(int node, Time t, std::function<void(Node&)> body) {
   SPLAP_REQUIRE(node >= 0 && node < tasks(), "bad node id");
   fabric_.set_node_restart(node, t);
-  engine_.schedule_at_on(
-      t, sim::Engine::kNoShard, [this, node, body = std::move(body)] {
+  engine_.schedule_at(
+      t, [this, node, body = std::move(body)] {
         const std::int64_t life =
             ++incarnations_[static_cast<std::size_t>(node)];
         fabric_.reset_node(node);

@@ -232,5 +232,50 @@ TEST(EngineTest, SpawnFromActor) {
   EXPECT_TRUE(child_ran);
 }
 
+TEST(EngineTest, KillShardUnwindsActorsSpawnedOnThatShard) {
+  Engine eng;
+  struct OnUnwind {
+    bool& flag;
+    ~OnUnwind() { flag = true; }
+  };
+  bool parent_unwound = false;
+  bool helper_unwound = false;
+  bool survivor_done = false;
+  Actor* helper = nullptr;
+  Actor& parent = eng.spawn_on(2, "parent", [&](Actor& self) {
+    OnUnwind guard{parent_unwound};
+    // Plain spawn from an actor inherits that actor's shard.
+    helper = &self.engine().spawn("helper", [&](Actor& h) {
+      OnUnwind g{helper_unwound};
+      h.suspend("blocked until the node dies");
+    });
+    self.suspend("blocked until the node dies");
+  });
+  Actor& idle = eng.spawn_stackless(2, "idle", nullptr);
+  Actor& survivor = eng.spawn_on(1, "survivor", [&](Actor& self) {
+    self.compute(microseconds(30));
+    survivor_done = true;
+  });
+  eng.schedule_at(microseconds(10), [&] {
+    ASSERT_NE(helper, nullptr);
+    EXPECT_EQ(helper->shard(), 2);
+    // Event context has no actor to inherit from.
+    EXPECT_EQ(eng.spawn("from-event", [](Actor&) {}).shard(), Engine::kNoShard);
+    EXPECT_FALSE(parent_unwound);
+    EXPECT_FALSE(helper_unwound);
+    eng.kill_shard(2);
+    EXPECT_TRUE(parent_unwound);
+    EXPECT_TRUE(helper_unwound);
+    EXPECT_TRUE(parent.finished() && parent.poisoned());
+    EXPECT_TRUE(helper->finished() && helper->poisoned());
+    EXPECT_TRUE(idle.finished());
+    EXPECT_FALSE(survivor.finished());
+    EXPECT_FALSE(survivor.poisoned());
+  });
+  EXPECT_EQ(eng.run(), Status::kOk);
+  EXPECT_TRUE(survivor_done);
+  EXPECT_EQ(eng.now(), microseconds(30));
+}
+
 }  // namespace
 }  // namespace splap::sim

@@ -136,11 +136,10 @@ const std::set<std::string>& call_keywords() {
 // stackless pump): they become blocking-reachability entry points.
 const std::set<std::string>& handler_sinks() {
   static const std::set<std::string> k = {
-      "schedule_at",   "schedule_after",     "schedule_at_on",
-      "schedule_thunk", "schedule_thunk_on", "defer",
-      "run_inline",    "submit",             "submit_completion",
-      "lock_async",    "register_handler",   "set_deliver",
-      "set_overflow",
+      "schedule_at",      "schedule_after",   "schedule_thunk",
+      "defer",            "run_inline",       "submit",
+      "submit_completion", "lock_async",      "register_handler",
+      "set_deliver",      "set_overflow",
   };
   return k;
 }
