@@ -55,7 +55,33 @@ void BM_ActorHandoff(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * switches);
 }
-BENCHMARK(BM_ActorHandoff)->Arg(256);
+// One actor computing in a loop: its own thread dispatches each timer and
+// wake, then resumes itself, so this times a suspend with no thread switch.
+// Real time, because the run() caller parks while the actor's thread works.
+BENCHMARK(BM_ActorHandoff)->Arg(256)->UseRealTime();
+
+void BM_ActorPingPong(benchmark::State& state) {
+  // Two actors waking each other in turn: every item is one baton handoff
+  // between OS threads.
+  const int handoffs = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine eng;
+    int turn = 0;
+    sim::Actor* players[2] = {nullptr, nullptr};
+    for (int me = 0; me < 2; ++me) {
+      players[me] = &eng.spawn("player", [&, me](sim::Actor& self) {
+        for (int i = me; i < handoffs; i += 2) {
+          self.wait([&] { return turn == i; }, "turn");
+          ++turn;
+          eng.wake(*players[1 - me]);
+        }
+      });
+    }
+    benchmark::DoNotOptimize(eng.run());
+  }
+  state.SetItemsProcessed(state.iterations() * handoffs);
+}
+BENCHMARK(BM_ActorPingPong)->Arg(256)->UseRealTime();
 
 void BM_FabricPacketRate(benchmark::State& state) {
   const int packets = static_cast<int>(state.range(0));
@@ -106,7 +132,7 @@ void BM_LapiPutMessageRate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * msgs);
 }
-BENCHMARK(BM_LapiPutMessageRate)->Arg(500);
+BENCHMARK(BM_LapiPutMessageRate)->Arg(500)->UseRealTime();
 
 /// Console output plus a flat JSON export of every run: one row per
 /// benchmark with wall time and throughput, ready for trajectory tracking

@@ -35,8 +35,10 @@
 #              scatter-direct assembly, FakeWire exactly-once under loss and
 #              corruption, and the GA putv/getv wiring — run optimized,
 #              under ASan+UBSan, and under SPLAP_AUDIT
-#   tsan       ThreadSanitizer over the genuinely-concurrent code: the actor
-#              park/unpark handoff (sim_engine_test) and the parallel sweep
+#   tsan       ThreadSanitizer over the genuinely-concurrent code: the baton
+#              handoff between actor threads, which also carries the event
+#              loop from thread to thread (sim_engine_test, sim_sync_test and
+#              the whole-stack integration_test), and the parallel sweep
 #              driver (bench_fig2_bandwidth with SPLAP_SWEEP_THREADS=4)
 #   audit      SPLAP_AUDIT build + full ctest: shadow-state lifecycle and
 #              virtual-time race auditing across every suite, chaos included
@@ -203,8 +205,11 @@ fi
 if want tsan; then
   echo "== thread-sanitized build (TSan) =="
   cmake -B build-tsan -S . -DSPLAP_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-tsan -j"$(nproc)" --target sim_engine_test bench_fig2_bandwidth
+  cmake --build build-tsan -j"$(nproc)" --target sim_engine_test \
+    sim_sync_test integration_test bench_fig2_bandwidth
   ./build-tsan/tests/sim_engine_test
+  ./build-tsan/tests/sim_sync_test
+  ./build-tsan/tests/integration_test
   SPLAP_SWEEP_THREADS=4 ./build-tsan/bench/bench_fig2_bandwidth
 fi
 

@@ -80,8 +80,8 @@ echo "-- engine perf schema"
 "$BUILD_DIR"/bench/bench_engine_perf --json_out="$TMP/BENCH_engine.json" \
   > /dev/null
 grep -q '"schema": "splap-bench-v1"' "$TMP/BENCH_engine.json"
-for name in BM_EngineEventThroughput BM_ActorHandoff BM_FabricPacketRate \
-            BM_LapiPutMessageRate; do
+for name in BM_EngineEventThroughput BM_ActorHandoff BM_ActorPingPong \
+            BM_FabricPacketRate BM_LapiPutMessageRate; do
   grep -q "\"$name" "$TMP/BENCH_engine.json" \
     || { echo "missing benchmark $name in BENCH_engine.json"; exit 1; }
 done

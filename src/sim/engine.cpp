@@ -71,64 +71,69 @@ Time Actor::now() const { return engine_.now(); }
 
 Actor* Actor::current() { return tls_current_actor; }
 
-void Actor::park_until(std::uint32_t want) {
-  if ((turn_.load(std::memory_order_acquire) & kOwnerMask) == want) return;
-  int& budget = spin_budget_[want & kOwnerMask];
-  if (budget < 0) budget = initial_spin_budget();
-  for (int i = budget; i-- > 0;) {
-    cpu_relax();
-    if ((turn_.load(std::memory_order_acquire) & kOwnerMask) == want) return;
+void Actor::Seat::give(Seat& to) {
+  // Nobody else writes our word until the baton comes back to us, which
+  // happens-after the exchange below, so clearing it here cannot race.
+  word.store(0, std::memory_order_relaxed);
+  if ((to.word.exchange(kGo, std::memory_order_acq_rel) & kParkedBit) != 0) {
+    to.word.notify_one();
   }
-  // Yield phase: on a loaded or single-CPU machine the partner needs our
+}
+
+void Actor::Seat::wait() {
+  auto taken = [this] {
+    return (word.load(std::memory_order_acquire) & kGo) != 0;
+  };
+  if (taken()) return;
+  if (spin_budget < 0) spin_budget = initial_spin_budget();
+  for (int i = spin_budget; i-- > 0;) {
+    cpu_relax();
+    if (taken()) return;
+  }
+  // Yield phase: on a loaded or single-CPU machine the giver needs our
   // timeslice, not our spinning — and a yield that succeeds saves the futex
-  // wait AND the partner's wake syscall (it sees no parked bit).
+  // wait AND the giver's wake syscall (it sees no parked bit).
   for (int i = 0; i < kYieldRounds; ++i) {
     std::this_thread::yield();
-    if ((turn_.load(std::memory_order_acquire) & kOwnerMask) == want) {
-      if (multi_hw() && budget < kSpinMax) {
+    if (taken()) {
+      if (multi_hw() && spin_budget < kSpinMax) {
         // Spin missed but yield caught it: a longer spin may dodge even the
         // yield next time.
-        budget = std::min(budget * 2 + 16, kSpinMax);
+        spin_budget = std::min(spin_budget * 2 + 16, kSpinMax);
       }
       return;
     }
   }
-  budget /= 2;  // both phases missed: spinning is wasted here
-  // Advertise the park so the handing-over side knows a wake is needed. The
-  // waiter never writes the owner bit — a post-wake store could clobber the
-  // partner's freshly set parked bit and lose its wake; only the handoff
-  // exchange in hand_to clears the bit.
+  spin_budget /= 2;  // both phases missed: spinning is wasted here
+  // Advertise the park so the giver knows a wake is needed. Only the giver's
+  // exchange clears the bit; a post-wake store here could clobber it.
   std::uint32_t cur =
-      turn_.fetch_or(kParkedBit, std::memory_order_acq_rel) | kParkedBit;
-  while ((cur & kOwnerMask) != want) {
-    turn_.wait(cur, std::memory_order_acquire);
-    cur = turn_.load(std::memory_order_acquire);
+      word.fetch_or(kParkedBit, std::memory_order_acq_rel) | kParkedBit;
+  while ((cur & kGo) == 0) {
+    word.wait(cur, std::memory_order_acquire);
+    cur = word.load(std::memory_order_acquire);
   }
 }
 
-void Actor::hand_to(std::uint32_t next) {
-  const std::uint32_t old = turn_.exchange(next, std::memory_order_acq_rel);
-  if ((old & kParkedBit) != 0) turn_.notify_one();
-}
-
 void Actor::thread_main(std::function<void(Actor&)> body) {
-  // Wait for the first grant; the engine owns the control token until then.
-  park_until(kActorHasControl);
+  seat_.wait();  // the first grant
   tls_current_actor = this;
   block_reason_ = "running";
-  if (!poisoned()) {
+  if (!poisoned_) {
     try {
       body(*this);
     } catch (const ActorKilled&) {
       // Engine teardown: unwind silently.
     } catch (...) {
-      failure_ = std::current_exception();
+      // A crash-stop or teardown unwind drops late failures.
+      if (!poisoned_) engine_.failure_ = std::current_exception();
     }
   }
+  body = nullptr;  // free the captures while this thread holds the baton
   tls_current_actor = nullptr;
   block_reason_ = "finished";
   finished_ = true;
-  hand_to(kEngineHasControl);
+  engine_.dispatch_until_resumed(this);
 }
 
 bool Actor::poisoned() const { return poisoned_; }
@@ -157,17 +162,9 @@ void Actor::grant() {
     }
     return;
   }
-  SPLAP_REQUIRE(
-      (turn_.load(std::memory_order_relaxed) & kOwnerMask) == kEngineHasControl,
-      "grant() on an actor that is not descheduled");
-  hand_to(kActorHasControl);
-  park_until(kEngineHasControl);
-  if (failure_) {
-    // Move, don't copy: exception_ptr copies touch an atomic refcount.
-    std::exception_ptr f = std::move(failure_);
-    failure_ = nullptr;
-    std::rethrow_exception(std::move(f));
-  }
+  SPLAP_REQUIRE(engine_.next_ == nullptr,
+                "one event may resume at most one thread-backed actor");
+  engine_.next_ = this;
 }
 
 void Actor::run_inline(const std::function<void(Actor&)>& fn) {
@@ -201,8 +198,7 @@ void Actor::suspend(const char* why) {
                 "suspend() may only be called from the actor's own thread "
                 "(blocking is forbidden in handler/event context)");
   block_reason_ = why;
-  hand_to(kEngineHasControl);
-  park_until(kActorHasControl);
+  engine_.dispatch_until_resumed(this);
   if (poisoned_) throw ActorKilled{};
   block_reason_ = "running";
 }
@@ -231,6 +227,11 @@ Engine::Engine() {
 
 Engine::~Engine() {
   shutdown();
+  // Join every thread before freeing any actor: a finishing thread's last
+  // act is a handoff into another thread's seat.
+  for (auto& a : actors_) {
+    if (a->thread_.joinable()) a->thread_.join();
+  }
   // Events still queued (failed run, deadlock) own callables; destroy them
   // before the pool slabs go away. Audit builds also hand the swept nodes
   // back to the pool so acquire/release pairing balances, then verify no
@@ -277,48 +278,42 @@ void Engine::audit_object_touch(const void* obj, const char* where) {
 
 void Engine::shutdown() {
   // Unwind any actor still blocked (failed run, deadlock, or an exception
-  // that aborted the event loop). Stackless actors have no stack to unwind:
-  // mark them finished and drop any unstarted body.
-  for (auto& a : actors_) {
-    if (a->finished_) continue;
-    a->poisoned_ = true;
-    if (a->stackless_) {
-      a->finished_ = true;
-      a->block_reason_ = "finished";
-      a->stackless_body_ = nullptr;
-      continue;
-    }
-    try {
-      a->grant();
-    } catch (...) {
-      // Teardown must not throw; drop late failures.
-    }
-  }
-  // Actor destructors join the threads.
+  // that aborted the event loop).
+  poison(kNoShard, true);
 }
 
-void Engine::kill_shard(int shard) {
-  // Same per-actor unwind as shutdown(), restricted to one node's shard.
-  // The single-runnable-entity invariant guarantees every actor is parked
-  // while an event callback runs, so granting a poisoned actor here hands
-  // its thread exactly one resume in which suspend() rethrows the teardown
-  // exception and the stack unwinds.
-  for (auto& a : actors_) {
-    if (a->finished_ || a->shard_ != shard) continue;
-    a->poisoned_ = true;
-    if (a->stackless_) {
-      a->finished_ = true;
-      a->block_reason_ = "finished";
-      a->stackless_body_ = nullptr;
-      continue;
-    }
-    try {
-      a->grant();
-    } catch (...) {
-      // A crash-stop unwind must not propagate into the dispatcher; late
-      // failures from a dying node are dropped like in shutdown().
+void Engine::kill_shard(int shard) { poison(shard, false); }
+
+void Engine::poison(int shard, bool all) {
+  for (std::size_t i = 0; i < actors_.size(); ++i) {
+    Actor& a = *actors_[i];
+    if (a.finished_ || (!all && a.shard_ != shard)) continue;
+    a.poisoned_ = true;
+    if (a.stackless_) {
+      // No stack to unwind: mark finished and drop any unstarted body.
+      a.finished_ = true;
+      a.block_reason_ = "finished";
+      a.stackless_body_ = nullptr;
+    } else if (running_) {
+      // The victim may own this very thread: the loop unwinds it once the
+      // current callback has returned.
+      unwind_from_ = std::min(unwind_from_, i);
+    } else {
+      // One resume in which suspend() throws the teardown exception and the
+      // stack unwinds; the thread then hands the baton straight back.
+      run_seat_.give(a.seat_);
+      run_seat_.wait();
     }
   }
+}
+
+Actor* Engine::next_victim() {
+  for (; unwind_from_ < actors_.size(); ++unwind_from_) {
+    Actor& a = *actors_[unwind_from_];
+    if (a.poisoned_ && !a.finished_) return &a;
+  }
+  unwind_from_ = kNoUnwind;
+  return nullptr;
 }
 
 Actor& Engine::spawn_impl(int shard, std::string name,
@@ -393,26 +388,38 @@ void Engine::dispatch(const HeapSlot& s) {
   // back to the pool; a free node's stale thunk pointers are never read
   // (bind overwrites them, and ~Engine only sweeps queued nodes).
   try {
-    n->invoke(n->obj);  // may throw: propagates to caller; ~Engine cleans up
+    n->invoke(n->obj);
   } catch (...) {
-    event_pool_.release(n);
-    ++events_executed_;
-    throw;
+    failure_ = std::current_exception();
   }
   event_pool_.release(n);
   ++events_executed_;
 }
 
+void Engine::dispatch_until_resumed(Actor* self) {
+  tls_current_actor = nullptr;  // handler context, whichever thread this is
+  Actor* next = nullptr;
+  while (running_ && !failure_) {
+    next = std::exchange(next_, nullptr);
+    if (next == nullptr && unwind_from_ != kNoUnwind) next = next_victim();
+    if (next != nullptr || queue_empty()) break;
+    dispatch(queue_pop());
+  }
+  // next == nullptr: the baton goes back to the run() caller.
+  tls_current_actor = self;
+  if (next == self) return;
+  Actor::Seat& mine = self != nullptr ? self->seat_ : run_seat_;
+  const bool exiting = self != nullptr && self->finished_;
+  mine.give(next != nullptr ? next->seat_ : run_seat_);
+  if (!exiting) mine.wait();
+}
+
 Status Engine::run() {
   SPLAP_REQUIRE(!running_, "Engine::run is not reentrant");
   running_ = true;
-  try {
-    while (!queue_empty()) dispatch(queue_pop());
-  } catch (...) {
-    running_ = false;
-    throw;
-  }
+  dispatch_until_resumed(nullptr);
   running_ = false;
+  if (failure_) std::rethrow_exception(std::exchange(failure_, nullptr));
   bool dead = false;
   for (const auto& a : actors_) {
     if (a->stackless()) continue;  // no stack, nothing ever blocks

@@ -2,10 +2,20 @@
 //
 // A simulated SP task is an Actor: user code runs on a dedicated OS thread so
 // it can block naturally (LAPI_Waitcntr really blocks), but the engine admits
-// exactly ONE runnable entity at any instant — either one actor or one event
-// callback — via a single-word park/unpark handoff. Execution is therefore
+// exactly ONE runnable entity at any instant — either one actor or the event
+// loop — by passing a single baton between threads. Execution is therefore
 // sequential, race-free and bit-reproducible while the public API looks like
 // a normal blocking communication library.
+//
+// The event loop has no thread of its own: whichever thread holds the baton
+// runs it. An actor that suspends keeps its thread and dispatches events
+// (with Actor::current() == nullptr, i.e. in handler context) until an event
+// resumes some actor. Resuming itself is a plain return; resuming another
+// actor hands the baton straight to that actor's thread and parks. The
+// thread calling Engine::run() dispatches until it first hands the baton
+// away, and gets it back only when the queue drains or a failure is stored.
+// Every blocking call thus costs at most one thread switch, not a round trip
+// through a dispatcher thread.
 //
 // Virtual time only advances when the engine pops an event; actors charge
 // CPU work explicitly through Actor::compute(). Ties in the event queue break
@@ -123,34 +133,35 @@ class Actor {
   Actor(Engine& engine, int id, int shard, std::string name,
         std::function<void(Actor&)> body, StacklessTag);
 
-  void thread_main(std::function<void(Actor&)> body);
-  // Called from the engine run loop: hand execution to the actor, return
-  // when it suspends or finishes.
-  // Stackless actors run their body inline here instead of unparking a
-  // thread.
-  void grant();
-  // Block the calling thread until the owner half of `turn_` equals `want`.
-  // Three phases: an adaptive bounded spin (useful only with >1 hardware
-  // thread), a short yield loop (lets the partner's timeslice run on a
-  // loaded or single-CPU machine without a futex round trip), then a futex
-  // park. The parked bit tells the handing-over side whether a wake syscall
-  // is needed at all.
-  void park_until(std::uint32_t want);
-  // Release the control token to `next` (kEngineHasControl or
-  // kActorHasControl) and wake the partner only if it actually parked.
-  void hand_to(std::uint32_t next);
+  // A thread's place in the baton relay. Every thread that can hold the
+  // baton owns one: each thread-backed actor, and Engine::run()'s caller.
+  // The holder passes the baton by setting the receiver's word to kGo, and a
+  // thread only ever waits on its own word, so this release/acquire pair is
+  // the only synchronization a handoff needs (every other field is touched
+  // by the baton holder alone).
+  struct Seat {
+    static constexpr std::uint32_t kGo = 1;
+    // Set by the owner just before it futex-parks; the giver's exchange
+    // clears it and skips the notify syscall when it was never set (the
+    // owner is still spinning or yielding).
+    static constexpr std::uint32_t kParkedBit = 2;
+    std::atomic<std::uint32_t> word{0};
+    int spin_budget = -1;  // adaptive spin bound of wait() (-1: unset)
 
-  // Ownership token for the single-runnable-entity invariant. Exactly one
-  // side (dispatcher or actor thread) holds control at any instant; all
-  // other Actor fields are only touched by the side that holds it, so the
-  // release-store/acquire-load pair on this word is the only synchronization
-  // the handoff needs. Bit 1 is set by a waiter that is about to park on the
-  // futex; the handoff exchange clears it and elides the notify syscall when
-  // it was never set (the partner is spinning or yielding).
-  static constexpr std::uint32_t kEngineHasControl = 0;
-  static constexpr std::uint32_t kActorHasControl = 1;
-  static constexpr std::uint32_t kOwnerMask = 1;
-  static constexpr std::uint32_t kParkedBit = 2;
+    // Pass the baton from this seat (the calling thread's own) to `to`.
+    void give(Seat& to);
+    // Block the owner until a holder gives it the baton. Three phases: an
+    // adaptive bounded spin (useful only with >1 hardware thread), a short
+    // yield loop (lets the giver's timeslice run on a loaded or single-CPU
+    // machine without a futex round trip), then a futex park.
+    void wait();
+  };
+
+  void thread_main(std::function<void(Actor&)> body);
+  // Called from a wake or spawn event. A stackless actor runs its body
+  // inline here. A thread-backed one is recorded as the engine's next baton
+  // holder; the event loop resumes it once the callback has returned.
+  void grant();
 
   Engine& engine_;
   const int id_;
@@ -159,17 +170,10 @@ class Actor {
   const std::string name_;
   const char* block_reason_ = "not started";
 
-  std::atomic<std::uint32_t> turn_{kEngineHasControl};
   bool finished_ = false;
   bool wake_pending_ = false;  // coalesces redundant wakeups
   bool poisoned_ = false;      // engine teardown: unwind on next suspend
-  // Adaptive handoff spin bounds (-1: unset), indexed by the awaited owner
-  // value. Two slots because the two sides' park_until calls can overlap for
-  // an instant at the handoff boundary (the waker is still inside its own
-  // park_until epilogue when the woken side parks again), and each side only
-  // ever waits for its own distinct owner value.
-  int spin_budget_[2] = {-1, -1};
-  std::exception_ptr failure_;
+  Seat seat_;
   std::function<void(Actor&)> stackless_body_;  // stackless actors only
   std::thread thread_;
 };
@@ -259,8 +263,12 @@ class Engine {
   /// on their next resume (RAII runs, so libraries see poisoned() and take
   /// their best-effort teardown path); stackless actors are marked finished
   /// in place. Actors spawned on the shard afterwards (a restart) start with
-  /// a clean slate. Must be called from event context mid-run — every actor
-  /// is parked then — or between runs. Idempotent per actor.
+  /// a clean slate. Must be called from event context mid-run, or between
+  /// runs. Between runs the unwinds happen before kill_shard returns. Mid-run
+  /// the victims are poisoned at once but unwind, in actors() order, right
+  /// after the current callback returns and before the next event is popped:
+  /// one victim may be the actor whose thread is running that callback, and
+  /// it cannot unwind beneath its own dispatch frames. Idempotent per actor.
   void kill_shard(int shard);
 
   /// Instrumentation counters shared machine-wide.
@@ -571,8 +579,25 @@ class Engine {
                     std::function<void(Actor&)> body, bool stackless);
 
   /// Dispatch one already-popped event (sets now_, runs, recycles the node;
-  /// exceptions propagate after the node is released).
+  /// an exception is stored in failure_ after the node is released).
   void dispatch(const HeapSlot& s);
+
+  /// The event loop, run by the calling thread while it holds the baton and
+  /// no actor runs. `self` is that thread's actor, or nullptr for the run()
+  /// caller. Returns when `self` is the next holder: at once when an event
+  /// resumes `self`, otherwise after handing the baton to the next holder's
+  /// thread and parking until it comes back. A finished `self` hands the
+  /// baton on and returns without parking (its thread then exits).
+  void dispatch_until_resumed(Actor* self);
+
+  /// The next poisoned, unfinished actor in actors_ order that a mid-run
+  /// kill_shard left to unwind, or nullptr.
+  Actor* next_victim();
+
+  /// Poison every unfinished actor (`all`) or those on `shard`, and unwind
+  /// the thread-backed ones: at once between runs, after the current
+  /// callback mid-run (see kill_shard).
+  void poison(int shard, bool all);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -591,9 +616,14 @@ class Engine {
   // common case) never allocate tail storage at all.
   SlotBlock first_block_;
   ObjectPool<EventNode> event_pool_{512};
+  Actor::Seat run_seat_;  // the seat of the thread inside run() or shutdown()
   std::vector<std::unique_ptr<Actor>> actors_;
   CounterSet counters_;
   bool running_ = false;
+  Actor* next_ = nullptr;        // set by grant(): the baton's next holder
+  std::exception_ptr failure_;   // first failure of this run; run() rethrows
+  static constexpr std::size_t kNoUnwind = SIZE_MAX;
+  std::size_t unwind_from_ = kNoUnwind;  // where next_victim() scans from
   std::uint64_t events_executed_ = 0;
 #ifdef SPLAP_AUDIT
   // Shadow state (audit builds only). audit_step_ numbers dispatches from 1;

@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/time.hpp"
 
 namespace splap::sim {
 namespace {
+
+/// Sets `flag` when the actor stack holding it unwinds.
+struct OnUnwind {
+  bool& flag;
+  ~OnUnwind() { flag = true; }
+};
 
 TEST(EngineTest, EventsRunInTimeOrder) {
   Engine eng;
@@ -234,10 +242,6 @@ TEST(EngineTest, SpawnFromActor) {
 
 TEST(EngineTest, KillShardUnwindsActorsSpawnedOnThatShard) {
   Engine eng;
-  struct OnUnwind {
-    bool& flag;
-    ~OnUnwind() { flag = true; }
-  };
   bool parent_unwound = false;
   bool helper_unwound = false;
   bool survivor_done = false;
@@ -264,17 +268,124 @@ TEST(EngineTest, KillShardUnwindsActorsSpawnedOnThatShard) {
     EXPECT_FALSE(parent_unwound);
     EXPECT_FALSE(helper_unwound);
     eng.kill_shard(2);
-    EXPECT_TRUE(parent_unwound);
-    EXPECT_TRUE(helper_unwound);
-    EXPECT_TRUE(parent.finished() && parent.poisoned());
-    EXPECT_TRUE(helper->finished() && helper->poisoned());
+    // Mid-run the victims are poisoned at once and unwind right after this
+    // callback returns, before any later event runs.
+    EXPECT_TRUE(parent.poisoned() && helper->poisoned());
     EXPECT_TRUE(idle.finished());
-    EXPECT_FALSE(survivor.finished());
-    EXPECT_FALSE(survivor.poisoned());
+    eng.schedule_at(eng.now(), [&] {
+      EXPECT_TRUE(parent_unwound);
+      EXPECT_TRUE(helper_unwound);
+      EXPECT_TRUE(parent.finished() && parent.poisoned());
+      EXPECT_TRUE(helper->finished() && helper->poisoned());
+      EXPECT_FALSE(survivor.finished());
+      EXPECT_FALSE(survivor.poisoned());
+    });
   });
   EXPECT_EQ(eng.run(), Status::kOk);
   EXPECT_TRUE(survivor_done);
   EXPECT_EQ(eng.now(), microseconds(30));
+}
+
+TEST(EngineTest, KillShardIncludingTheDispatchingActor) {
+  // The only blocked actor's own thread dispatches the kill event, so the
+  // victim is unwound right after the callback that poisoned it returns.
+  Engine eng;
+  bool unwound = false;
+  std::thread::id victim_thread;
+  Actor& victim = eng.spawn_on(3, "victim", [&](Actor& self) {
+    OnUnwind guard{unwound};
+    victim_thread = std::this_thread::get_id();
+    self.suspend("blocked until the node dies");
+  });
+  eng.schedule_at(microseconds(5), [&] {
+    EXPECT_EQ(std::this_thread::get_id(), victim_thread);
+    EXPECT_EQ(Actor::current(), nullptr);
+    eng.kill_shard(3);
+    EXPECT_FALSE(unwound);
+    eng.schedule_at(eng.now(), [&] { EXPECT_TRUE(unwound); });
+  });
+  eng.schedule_at(microseconds(7), [&] {
+    EXPECT_TRUE(victim.finished() && victim.poisoned());
+  });
+  EXPECT_EQ(eng.run(), Status::kOk);
+  EXPECT_TRUE(unwound);
+  EXPECT_EQ(eng.now(), microseconds(7));
+}
+
+TEST(EngineTest, CallbackThrowOnActorThreadRethrowsOnRunCaller) {
+  Engine eng;
+  bool unwound = false;
+  std::thread::id actor_thread;
+  Actor& a = eng.spawn("blocked", [&](Actor& self) {
+    OnUnwind guard{unwound};
+    actor_thread = std::this_thread::get_id();
+    self.suspend("never woken");
+  });
+  bool later_ran = false;
+  eng.schedule_at(microseconds(3), [&] {
+    EXPECT_EQ(std::this_thread::get_id(), actor_thread);
+    throw std::runtime_error("callback failed");
+  });
+  eng.schedule_at(microseconds(4), [&] { later_ran = true; });
+  const std::thread::id caller = std::this_thread::get_id();
+  try {
+    (void)eng.run();
+    ADD_FAILURE() << "run() returned instead of rethrowing";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "callback failed");
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  }
+  EXPECT_FALSE(later_ran);
+  EXPECT_FALSE(a.finished());
+  eng.shutdown();
+  EXPECT_TRUE(unwound);
+  EXPECT_TRUE(a.finished() && a.poisoned());
+}
+
+TEST(EngineTest, SecondRunAfterDrainResumesBlockedActors) {
+  Engine eng;
+  bool flag = false;
+  int done = 0;
+  std::vector<Actor*> waiters;
+  for (int i = 0; i < 2; ++i) {
+    waiters.push_back(&eng.spawn("w" + std::to_string(i), [&](Actor& self) {
+      self.wait([&] { return flag; }, "flag");
+      ++done;
+    }));
+  }
+  EXPECT_EQ(eng.run(), Status::kDeadlock);
+  EXPECT_EQ(done, 0);
+  eng.schedule_at(microseconds(9), [&] {
+    flag = true;
+    for (Actor* w : waiters) eng.wake(*w);
+  });
+  EXPECT_EQ(eng.run(), Status::kOk);
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(eng.now(), microseconds(9));
+}
+
+TEST(EngineTest, DeadlockDetectedWhenAnActorThreadDrains) {
+  Engine eng;
+  std::thread::id finisher_thread;
+  std::thread::id last_dispatch;
+  eng.spawn("finisher", [&](Actor& self) {
+    finisher_thread = std::this_thread::get_id();
+    self.compute(microseconds(1));
+  });
+  eng.spawn("stuck", [&](Actor& self) {
+    eng.schedule_after(microseconds(2),
+                       [&] { last_dispatch = std::this_thread::get_id(); });
+    self.wait([] { return false; }, "never");
+  });
+  EXPECT_EQ(eng.run(), Status::kDeadlock);
+  // "stuck" suspended last, so its thread resumed "finisher" at 1 us. After
+  // its body ended, the finisher's thread ran the 2 us event and drained the
+  // queue, then handed the baton back to the run() caller.
+  EXPECT_EQ(last_dispatch, finisher_thread);
+  EXPECT_NE(last_dispatch, std::this_thread::get_id());
+  EXPECT_TRUE(eng.actors()[0]->finished());
+  EXPECT_FALSE(eng.actors()[1]->finished());
+  EXPECT_STREQ(eng.actors()[1]->block_reason(), "never");
 }
 
 }  // namespace
