@@ -13,8 +13,10 @@
 #                bandwidths depend on the rdma cost constants, so the guard
 #                pins schema, series-name set, and crossover keys, not bytes
 #   detector     BENCH_detector.json sweeps legacy-vs-accrual detection over
-#                crash and straggler scenarios; latencies depend on detector
-#                tuning, so the guard pins schema and series names, not bytes
+#                crash and straggler scenarios. It is pure virtual time, so
+#                the guard pins schema and series names AND diffs the bytes
+#                against the committed file; a detector retune is a
+#                documented re-baseline like the three text goldens
 #   engine perf  BENCH_engine.json carries wall-clock timings that legitimately
 #                vary run to run, so the guard pins its schema and benchmark
 #                name set, not its bytes
@@ -28,7 +30,8 @@
 #
 # Usage: scripts/golden_check.sh <build-dir>
 # Re-baselining (only after an intentional behavior change): re-run the three
-# binaries and overwrite tests/golden/*.txt with their output.
+# binaries and overwrite tests/golden/*.txt with their output; for the
+# detector, re-run `bench_detector --json_out=BENCH_detector.json`.
 set -euo pipefail
 BUILD_DIR="${1:?usage: golden_check.sh <build-dir>}"
 cd "$(dirname "$0")/.."
@@ -63,7 +66,7 @@ for key in crossover_eager_to_rendezvous_bytes \
     || { echo "missing key $key in BENCH_rdma.json"; exit 1; }
 done
 
-echo "-- detector schema"
+echo "-- detector"
 "$BUILD_DIR"/bench/bench_detector --json_out="$TMP/BENCH_detector.json" \
   > /dev/null
 grep -q '"schema": "splap-detector-v1"' "$TMP/BENCH_detector.json"
@@ -75,6 +78,7 @@ for name in legacy_crash accrual_crash \
   grep -q "\"name\": \"$name\"" "$TMP/BENCH_detector.json" \
     || { echo "missing series $name in BENCH_detector.json"; exit 1; }
 done
+diff -u BENCH_detector.json "$TMP/BENCH_detector.json"
 
 echo "-- engine perf schema"
 "$BUILD_DIR"/bench/bench_engine_perf --json_out="$TMP/BENCH_engine.json" \
