@@ -373,6 +373,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
             hdr->tgt_cntr = meta->org_cntr;
             hdr->org_cntr = meta->tgt_cntr;
             hdr->get_reply = true;
+            hdr->acked_msg = meta->msg_id;  // the request this answers
             hdr->org_addr = meta->src_addr;  // registration key of the source
             std::shared_ptr<std::vector<std::byte>> data;
             if (meta->strided) {
@@ -505,13 +506,12 @@ void AssemblyEngine::finish_assembly(int origin, std::int64_t msg_id) {
   const WireMeta& h = *as.hdr;
   const bool want_done = h.cmpl_cntr != nullptr;
 
-  if (h.get_reply) {
-    env_.note_get_reply();
-  }
+  const bool counts =
+      !h.get_reply || env_.get_reply_landed(origin, h.acked_msg);
 
   if (!as.completion) {
     as.completion_ran = true;
-    progress_.bump(h.tgt_cntr);
+    if (counts) progress_.bump(h.tgt_cntr);
     send_ack(origin, msg_id, /*data=*/true, /*done=*/want_done, h.org_cntr,
              h.cmpl_cntr, as.pkts_ingested, h.epoch,
              progress_.engine().now());

@@ -55,8 +55,16 @@ class AssemblyEngine {
     virtual Status send_get_reply(
         int origin, std::shared_ptr<WireMeta> hdr,
         std::shared_ptr<std::vector<std::byte>> data) = 0;
-    /// A get reply finished landing: retire the origin's outstanding-get.
-    virtual void note_get_reply() = 0;
+    /// A get reply from `origin` answering request `req` finished landing:
+    /// retire the origin's outstanding get. Returns false when that get was
+    /// already failed over (its counters fired then), so the reply must not
+    /// complete it a second time.
+    virtual bool get_reply_landed(int /*origin*/, std::int64_t /*req*/) {
+      note_get_reply();
+      return true;
+    }
+    /// Reply hook for environments that keep no per-request state.
+    virtual void note_get_reply() {}
 
    protected:
     ~Env() = default;

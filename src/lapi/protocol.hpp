@@ -124,7 +124,7 @@ struct WireMeta {
   std::int64_t rmw_prev = 0;      // kRmwResp payload
   std::int64_t* rmw_prev_out = nullptr;
 
-  // kAck / kNack / kCredit / kCancel.
+  // kAck / kNack / kCredit / kCancel; on a get reply, the request answered.
   std::int64_t acked_msg = 0;
   bool ack_data = false;  // all bytes landed in the target buffer
   bool ack_done = false;  // completion handler finished

@@ -208,6 +208,9 @@ void Actor::compute(Time d) {
   if (d == 0) return;
   bool fired = false;
   engine_.schedule_after(d, [this, &fired] {
+    // A killed actor's stack (and `fired` with it) unwinds before its
+    // pending wake fires: touch nothing of it then.
+    if (poisoned_) return;
     fired = true;
     engine_.wake(*this);
   });
