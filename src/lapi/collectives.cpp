@@ -182,7 +182,9 @@ void Context::broadcast_peer_death(int peer, bool direct) {
   // switch fault daemon fanned out membership changes.
   Universe& u = universe();
   for (Context* c : u.ctxs) {
-    if (c != nullptr && c != this) c->note_peer_death(peer, direct, task_id());
+    if (c != nullptr && c != this && !c->terminated_ && peer != c->task_id()) {
+      c->send_.note_peer_death(peer, direct, task_id());
+    }
   }
 }
 
