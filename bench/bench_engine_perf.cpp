@@ -1,8 +1,9 @@
 // Wall-clock performance of the simulator itself (google-benchmark): event
-// throughput of the DES engine, actor handoff rate, fabric packet rate, and
-// end-to-end simulated-LAPI message rate. These are meta-benchmarks of the
-// reproduction infrastructure, not paper results — they bound how large an
-// experiment the simulator can run interactively.
+// throughput of the DES engine, actor handoff rate, fabric packet rate,
+// end-to-end simulated-LAPI message rate and MPL ping-pong exchange rate.
+// These are meta-benchmarks of the reproduction infrastructure, not paper
+// results — they bound how large an experiment the simulator can run
+// interactively.
 //
 // Besides the console table, the binary writes BENCH_engine.json (override
 // with --json_out=PATH) so the perf trajectory of the hot paths is tracked
@@ -19,6 +20,7 @@
 #endif
 
 #include "lapi/context.hpp"
+#include "mpl/comm.hpp"
 #include "net/machine.hpp"
 #include "sim/engine.hpp"
 
@@ -133,6 +135,39 @@ void BM_LapiPutMessageRate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * msgs);
 }
 BENCHMARK(BM_LapiPutMessageRate)->Arg(500)->UseRealTime();
+
+void BM_MplPingPong(benchmark::State& state) {
+  // 1-byte send/recv ping-pong between two tasks through mpl::Comm; one item
+  // is one exchange. The receiver matches from its per-source cursor and
+  // forgets delivered messages, so the cost per exchange must stay flat from
+  // 1k to 16k exchanges (it grew with every message ever received when the
+  // matcher walked them all).
+  const int exchanges = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    net::Machine::Config mc;
+    mc.tasks = 2;
+    net::Machine m(mc);
+    const Status st = m.run_spmd([&](net::Node& n) {
+      mpl::Comm comm(n);
+      std::byte b{1};
+      const std::span<std::byte> buf(&b, 1);
+      const int peer = 1 - comm.rank();
+      for (int i = 0; i < exchanges; ++i) {
+        if (comm.rank() == 0) {
+          ok(comm.send(peer, 0, buf));
+          ok(comm.recv(peer, 0, buf));
+        } else {
+          ok(comm.recv(peer, 0, buf));
+          ok(comm.send(peer, 0, buf));
+        }
+      }
+      comm.barrier();
+    });
+    ok(st);
+  }
+  state.SetItemsProcessed(state.iterations() * exchanges);
+}
+BENCHMARK(BM_MplPingPong)->Arg(1000)->Arg(16000)->UseRealTime();
 
 /// Console output plus a flat JSON export of every run: one row per
 /// benchmark with wall time and throughput, ready for trajectory tracking

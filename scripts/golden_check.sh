@@ -85,7 +85,7 @@ echo "-- engine perf schema"
   > /dev/null
 grep -q '"schema": "splap-bench-v1"' "$TMP/BENCH_engine.json"
 for name in BM_EngineEventThroughput BM_ActorHandoff BM_ActorPingPong \
-            BM_FabricPacketRate BM_LapiPutMessageRate; do
+            BM_FabricPacketRate BM_LapiPutMessageRate BM_MplPingPong; do
   grep -q "\"$name" "$TMP/BENCH_engine.json" \
     || { echo "missing benchmark $name in BENCH_engine.json"; exit 1; }
 done

@@ -6,11 +6,29 @@
 #include <span>
 #include <utility>
 
+#include "base/audit.hpp"
 #include "base/checksum.hpp"
 #include "base/log.hpp"
 #include "base/strided.hpp"
 
 namespace splap::lapi {
+
+namespace {
+/// Execute a read-modify-write on its target variable; returns the value
+/// it held before.
+std::int64_t apply_rmw(const WireMeta& m) {
+  const std::int64_t prev = *m.rmw_var;
+  switch (m.rmw_op) {
+    case RmwOp::kSwap: *m.rmw_var = m.rmw_in1; break;
+    case RmwOp::kCompareAndSwap:
+      if (prev == m.rmw_in1) *m.rmw_var = m.rmw_in2;
+      break;
+    case RmwOp::kFetchAndAdd: *m.rmw_var += m.rmw_in1; break;
+    case RmwOp::kFetchAndOr: *m.rmw_var |= m.rmw_in1; break;
+  }
+  return prev;
+}
+}  // namespace
 
 void AssemblyEngine::send_ack(int target, std::int64_t msg_id, bool data,
                               bool done, Counter* org_cntr, Counter* cmpl_cntr,
@@ -79,7 +97,9 @@ void AssemblyEngine::on_overflow(const net::Packet& pkt) {
     case PktKind::kData:
     case PktKind::kGetReq:
     case PktKind::kRmwReq:
-      send_nack(pkt.src, m.msg_id, m.epoch);
+      // A settled message needs no recovery (and its NACK suppression
+      // entry would sit below the floor, where no prune reaches it).
+      if (m.msg_id >= floor_of(pkt.src)) send_nack(pkt.src, m.msg_id, m.epoch);
       break;
     default:
       // Lost acks/credits/nacks/cancels heal by other means (probe
@@ -155,6 +175,16 @@ Time AssemblyEngine::process(net::Packet& pkt) {
                 task_id_, static_cast<long long>(m.msg_id), pkt.src);
     return cm.lapi_pkt_rx;
   }
+#ifdef SPLAP_AUDIT
+  // The origin stamps its watermark while the packet's own message is live,
+  // so a watermark above it would drop a message that was never settled.
+  if (m.settled > (m.kind == PktKind::kCancel ? m.acked_msg : m.msg_id)) {
+    audit::fail("settled watermark above the packet's own message",
+                "AssemblyEngine::process", &m);
+  }
+#endif
+  settle(pkt.src, m.settled);
+  const Key key{pkt.src, m.msg_id};
 
   // Copies incoming fragment bytes into the assembly buffer; returns the
   // copy charge. Duplicate fragments (retransmits) are ignored.
@@ -222,7 +252,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
         progress_.engine().counters().bump("lapi.malformed_drop");
         return cm.lapi_pkt_rx;
       }
-      const auto key = std::pair<int, std::int64_t>{pkt.src, m.msg_id};
+      if (m.msg_id < floor_of(pkt.src)) return ack_settled(pkt, m);
       auto at = assemblies_.find(key);
       if (at == assemblies_.end()) {
         if (!admit_partial(now)) {
@@ -239,9 +269,9 @@ Time AssemblyEngine::process(net::Packet& pkt) {
       if (as.completed) {
         // Retransmitted header of a finished message: re-ack, do not
         // re-deliver (the user may already have reused the buffer).
-        const bool done_ok = !as.completion || as.completion_ran;
         send_ack(pkt.src, m.msg_id, true,
-                 done_ok && as.hdr->cmpl_cntr != nullptr, as.hdr->org_cntr,
+                 !as.done_pending && as.hdr->cmpl_cntr != nullptr,
+                 as.hdr->org_cntr,
                  as.hdr->cmpl_cntr, as.pkts_ingested, m.epoch,
                  now + cm.lapi_ack);
         return cm.lapi_ack;
@@ -281,11 +311,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
       }
       as.staged.clear();
       if (as.received == as.total) {
-        as.completed = true;
-        --live_partials_;
-        progress_.defer(now + c, [this, key] {
-          finish_assembly(key.first, key.second);
-        });
+        complete(key, as, now + c);
       } else {
         maybe_emit_credit(pkt.src, m.msg_id, as, m.epoch);
       }
@@ -293,7 +319,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
     }
 
     case PktKind::kData: {
-      const auto key = std::pair<int, std::int64_t>{pkt.src, m.msg_id};
+      if (m.msg_id < floor_of(pkt.src)) return ack_settled(pkt, m);
       auto at = assemblies_.find(key);
       if (at == assemblies_.end()) {
         if (!admit_partial(now)) {
@@ -306,9 +332,8 @@ Time AssemblyEngine::process(net::Packet& pkt) {
       }
       Assembly& as = at->second;
       if (as.completed) {
-        const bool done_ok = !as.completion || as.completion_ran;
         send_ack(pkt.src, m.msg_id, true,
-                 done_ok && as.hdr && as.hdr->cmpl_cntr != nullptr,
+                 !as.done_pending && as.hdr && as.hdr->cmpl_cntr != nullptr,
                  as.hdr ? as.hdr->org_cntr : nullptr,
                  as.hdr ? as.hdr->cmpl_cntr : nullptr, as.pkts_ingested,
                  m.epoch, now + cm.lapi_ack);
@@ -333,11 +358,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
         nacked_.erase(key);  // fresh progress: re-arm NACK for this message
       }
       if (as.received == as.total) {
-        as.completed = true;
-        --live_partials_;
-        progress_.defer(now + c, [this, key] {
-          finish_assembly(key.first, key.second);
-        });
+        complete(key, as, now + c);
       } else {
         maybe_emit_credit(pkt.src, m.msg_id, as, m.epoch);
       }
@@ -345,7 +366,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
     }
 
     case PktKind::kGetReq: {
-      const auto key = std::pair<int, std::int64_t>{pkt.src, m.msg_id};
+      if (m.msg_id < floor_of(pkt.src)) return ack_settled(pkt, m);
       Assembly& as = assemblies_[key];
       if (as.completed) {
         send_ack(pkt.src, m.msg_id, true, false, nullptr, nullptr,
@@ -425,30 +446,23 @@ Time AssemblyEngine::process(net::Packet& pkt) {
     }
 
     case PktKind::kRmwReq: {
-      const auto key = std::pair<int, std::int64_t>{pkt.src, m.msg_id};
       nacked_.erase(key);
       const Time c = cm.lapi_dispatch;
       progress_.defer(
           now + c, [this, key,
                     meta = std::static_pointer_cast<const WireMeta>(pkt.meta),
                     origin = pkt.src] {
-            std::int64_t prev;
-            auto it = rmw_cache_.find(key);
-            if (it != rmw_cache_.end()) {
-              prev = it->second;  // duplicate request: do NOT re-execute
-            } else {
-              prev = *meta->rmw_var;
-              switch (meta->rmw_op) {
-                case RmwOp::kSwap: *meta->rmw_var = meta->rmw_in1; break;
-                case RmwOp::kCompareAndSwap:
-                  if (*meta->rmw_var == meta->rmw_in1) {
-                    *meta->rmw_var = meta->rmw_in2;
-                  }
-                  break;
-                case RmwOp::kFetchAndAdd: *meta->rmw_var += meta->rmw_in1; break;
-                case RmwOp::kFetchAndOr: *meta->rmw_var |= meta->rmw_in1; break;
-              }
-              rmw_cache_[key] = prev;
+            // Checked here, not on arrival: the floor may pass the request
+            // while it waits, and its cached result goes with the prune. A
+            // settled request is a duplicate the origin no longer waits
+            // for — answered with no result and no counters, never run.
+            const bool settled = key.second < floor_of(origin);
+            std::int64_t prev = 0;
+            if (!settled) {
+              auto [it, fresh] = rmw_cache_.try_emplace(key, 0);
+              // A duplicate request must NOT re-execute.
+              if (fresh) it->second = apply_rmw(*meta);
+              prev = it->second;
             }
             auto resp = std::make_shared<WireMeta>();
             resp->kind = PktKind::kRmwResp;
@@ -456,8 +470,10 @@ Time AssemblyEngine::process(net::Packet& pkt) {
             resp->dst_epoch = meta->epoch;
             resp->acked_msg = meta->msg_id;
             resp->rmw_prev = prev;
-            resp->rmw_prev_out = meta->rmw_prev_out;
-            resp->org_cntr = meta->org_cntr;
+            if (!settled) {
+              resp->rmw_prev_out = meta->rmw_prev_out;
+              resp->org_cntr = meta->org_cntr;
+            }
             net::Packet p = wire_.make_packet();
             p.src = task_id_;
             p.dst = origin;
@@ -473,14 +489,14 @@ Time AssemblyEngine::process(net::Packet& pkt) {
     case PktKind::kCancel: {
       // The origin abandoned this message (gave up retransmitting): free the
       // incomplete partial now instead of waiting for the TTL sweep.
-      const auto key = std::pair<int, std::int64_t>{pkt.src, m.acked_msg};
-      auto at = assemblies_.find(key);
+      const Key cancelled{pkt.src, m.acked_msg};
+      auto at = assemblies_.find(cancelled);
       if (at != assemblies_.end() && !at->second.completed) {
         SPLAP_DEBUG(now, "lapi task %d: cancel from %d reclaims partial %lld",
                     task_id_, pkt.src, static_cast<long long>(m.acked_msg));
         reclaim_partial(at);
       }
-      nacked_.erase(key);
+      nacked_.erase(cancelled);
       return cm.lapi_pkt_rx;
     }
 
@@ -498,81 +514,105 @@ Time AssemblyEngine::process(net::Packet& pkt) {
   return 0;
 }
 
-void AssemblyEngine::finish_assembly(int origin, std::int64_t msg_id) {
-  const auto key = std::pair<int, std::int64_t>{origin, msg_id};
-  auto it = assemblies_.find(key);
-  SPLAP_REQUIRE(it != assemblies_.end(), "finishing unknown assembly");
-  Assembly& as = it->second;
-  const WireMeta& h = *as.hdr;
-  const bool want_done = h.cmpl_cntr != nullptr;
+Time AssemblyEngine::ack_settled(const net::Packet& pkt, const WireMeta& m) {
+  const Time c = progress_.cost().lapi_ack;
+  send_ack(pkt.src, m.msg_id, true, false, nullptr, nullptr, 0, m.epoch,
+           progress_.engine().now() + c);
+  return c;
+}
 
-  const bool counts =
-      !h.get_reply || env_.get_reply_landed(origin, h.acked_msg);
-
-  if (!as.completion) {
-    as.completion_ran = true;
-    if (counts) progress_.bump(h.tgt_cntr);
-    send_ack(origin, msg_id, /*data=*/true, /*done=*/want_done, h.org_cntr,
-             h.cmpl_cntr, as.pkts_ingested, h.epoch,
-             progress_.engine().now());
-    progress_.notify();
-  } else {
-    // Data is in place: ack it now (fence semantics, Section 5.3.2), then
-    // run the completion handler on a service thread; only after it returns
-    // do the target counter and the DONE ack fire (Figure 1, Step 4).
-    send_ack(origin, msg_id, /*data=*/true, /*done=*/false, h.org_cntr,
-             h.cmpl_cntr, as.pkts_ingested, h.epoch,
-             progress_.engine().now());
-    env_.submit_completion([this, key](sim::Actor& svc_actor) {
-      auto jt = assemblies_.find(key);
-      SPLAP_REQUIRE(jt != assemblies_.end(),
-                    "assembly vanished before completion");
-      Assembly& a2 = jt->second;
-      const WireMeta& h2 = *a2.hdr;
-      auto completion = std::move(a2.completion);
-      a2.completion = nullptr;
-      env_.run_completion(completion, svc_actor);
-      a2.completion_ran = true;
-      progress_.bump(h2.tgt_cntr);
-      if (h2.cmpl_cntr != nullptr) {
-        send_ack(key.first, key.second, /*data=*/false, /*done=*/true,
-                 h2.org_cntr, h2.cmpl_cntr, a2.pkts_ingested, h2.epoch,
-                 progress_.engine().now());
-      }
-      progress_.notify();
-    });
-  }
-  // Shed assembly bulk; keep the completed marker for duplicate suppression.
+void AssemblyEngine::complete(const Key& key, Assembly& as, Time when) {
+  as.completed = true;
+  as.done_pending = as.completion != nullptr;
+  --live_partials_;
+  // Shed assembly bulk; the marker keeps what re-acks need.
   as.staged.clear();
   as.staged.shrink_to_fit();
   as.seen.clear();
+  progress_.defer(when, [this, key, hdr = as.hdr, pkts = as.pkts_ingested,
+                         completion = std::exchange(as.completion, {})] {
+    finish_assembly(key, hdr, pkts, completion);
+  });
+}
+
+void AssemblyEngine::finish_assembly(const Key& key,
+                                     std::shared_ptr<const WireMeta> hdr,
+                                     std::int64_t pkts,
+                                     Completion completion) {
+  const auto [origin, msg_id] = key;
+  const WireMeta& h = *hdr;
+  const bool counts =
+      !h.get_reply || env_.get_reply_landed(origin, h.acked_msg);
+
+  if (!completion) {
+    if (counts) progress_.bump(h.tgt_cntr);
+    send_ack(origin, msg_id, /*data=*/true, /*done=*/h.cmpl_cntr != nullptr,
+             h.org_cntr, h.cmpl_cntr, pkts, h.epoch, progress_.engine().now());
+    progress_.notify();
+    return;
+  }
+  // Data is in place: ack it now (fence semantics, Section 5.3.2), then run
+  // the completion handler on a service thread; only after it returns do the
+  // target counter and the DONE ack fire (Figure 1, Step 4). The job owns
+  // what it needs: an origin that wants no DONE ack settles the message at
+  // the data ack, so the marker may be pruned before the job runs.
+  send_ack(origin, msg_id, /*data=*/true, /*done=*/false, h.org_cntr,
+           h.cmpl_cntr, pkts, h.epoch, progress_.engine().now());
+  env_.submit_completion([this, key, hdr = std::move(hdr), pkts,
+                          completion = std::move(completion)](
+                             sim::Actor& svc_actor) {
+    env_.run_completion(completion, svc_actor);
+    // Same key and same header: the marker of this very message, not of a
+    // restarted origin's message that reused the msg id.
+    if (auto it = assemblies_.find(key);
+        it != assemblies_.end() && it->second.hdr == hdr) {
+      it->second.done_pending = false;
+    }
+    progress_.bump(hdr->tgt_cntr);
+    if (hdr->cmpl_cntr != nullptr) {
+      send_ack(key.first, key.second, /*data=*/false, /*done=*/true,
+               hdr->org_cntr, hdr->cmpl_cntr, pkts, hdr->epoch,
+               progress_.engine().now());
+    }
+    progress_.notify();
+  });
+}
+
+void AssemblyEngine::settle(int origin, std::int64_t watermark) {
+  if (watermark <= floor_of(origin)) return;
+  const auto o = static_cast<std::size_t>(origin);
+  if (o >= floors_.size()) floors_.resize(o + 1, 0);
+  floors_[o] = watermark;
+  prune(origin, watermark);
+}
+
+void AssemblyEngine::prune(int origin, std::int64_t below) {
+  const Key lo{origin, std::numeric_limits<std::int64_t>::min()};
+  const Key hi{origin, below};
+  for (auto it = assemblies_.lower_bound(lo);
+       it != assemblies_.end() && it->first < hi;) {
+    if (!it->second.completed) {
+      it = reclaim_partial(it);
+      continue;
+    }
+#ifdef SPLAP_AUDIT
+    // complete() hands the completion to its job; a marker still holding one
+    // would take a handler that never ran down with it.
+    if (it->second.completion) {
+      audit::fail("pruned a marker still holding its completion",
+                  "AssemblyEngine::prune", &it->second);
+    }
+#endif
+    it = assemblies_.erase(it);
+  }
+  rmw_cache_.erase(rmw_cache_.lower_bound(lo), rmw_cache_.lower_bound(hi));
+  nacked_.erase(nacked_.lower_bound(lo), nacked_.lower_bound(hi));
 }
 
 void AssemblyEngine::forget_origin(int origin) {
-  const auto lo = std::pair<int, std::int64_t>{
-      origin, std::numeric_limits<std::int64_t>::min()};
-  for (auto it = assemblies_.lower_bound(lo);
-       it != assemblies_.end() && it->first.first == origin;) {
-    Assembly& as = it->second;
-    if (as.completed && as.completion && !as.completion_ran) {
-      // Completion job still queued on the service pool: let it finish
-      // against this record. Its msg id stays burned for the new life; a
-      // collision there would need the new life to issue that many ops
-      // within one completion-pool latency of its first packet, which
-      // virtual restart delays make impossible.
-      ++it;
-      continue;
-    }
-    if (!as.completed) {
-      it = reclaim_partial(it);
-    } else {
-      nacked_.erase(it->first);
-      it = assemblies_.erase(it);
-    }
-  }
-  for (auto it = rmw_cache_.lower_bound(lo);
-       it != rmw_cache_.end() && it->first.first == origin;) {
-    it = rmw_cache_.erase(it);
+  prune(origin, std::numeric_limits<std::int64_t>::max());
+  if (static_cast<std::size_t>(origin) < floors_.size()) {
+    floors_[static_cast<std::size_t>(origin)] = 0;
   }
 }
 

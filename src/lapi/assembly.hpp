@@ -16,7 +16,11 @@
 //
 // Invariant owned here: user-visible delivery happens exactly once per
 // message — duplicates of any packet of a completed message are answered
-// with acks only, and a fragment ingests at most once (the seen map).
+// with acks only, and a fragment ingests at most once (the seen map). A
+// completed message's marker lives until the origin's settled watermark
+// (WireMeta::settled) passes it; below that per-origin floor every packet
+// is by definition a duplicate and is answered without any record at all,
+// so the state held here is bounded by the origins' outstanding messages.
 //
 // What it does NOT know: handler tables, completion-service threads, or the
 // Context type — those stay behind the Env callback interface, so this layer
@@ -94,35 +98,53 @@ class AssemblyEngine {
   /// duplicate-suppression markers are not partials.
   std::size_t live_partials() const { return live_partials_; }
 
+  /// Per-message records held: partials, completed markers and cached RMW
+  /// results.
+  std::size_t retained_records() const {
+    return assemblies_.size() + rmw_cache_.size();
+  }
+
+  /// Raise `origin`'s floor to its piggybacked settled `watermark` and
+  /// forget every marker, partial and cached RMW result below it. A lower
+  /// watermark (a reordered or duplicated packet) changes nothing.
+  void settle(int origin, std::int64_t watermark);
+
   /// Incarnation epoch of the owning context; stamped into every reply this
   /// layer emits (acks, NACKs, credits, RMW responses).
   void set_epoch(std::int64_t e) { epoch_ = e; }
 
   /// The peer `origin` restarted with a new incarnation: drop every trace of
-  /// its previous life. Partials from it can never complete, completed
-  /// markers would collide with the new life's restarted msg-id sequence
-  /// (suppressing real deliveries), and the RMW dedup cache would swallow
-  /// the new life's first RMWs.
+  /// its previous life and reset its floor. Partials from it can never
+  /// complete, completed markers and the floor would collide with the new
+  /// life's restarted msg-id sequence (suppressing real deliveries), and the
+  /// RMW dedup cache would swallow the new life's first RMWs.
   void forget_origin(int origin);
 
   /// The peer was declared dead but no restart has been seen: reclaim its
-  /// incomplete partials now (they can never complete). Completed markers
-  /// stay — the verdict may be congestion misjudged as death, and
-  /// exactly-once delivery must survive the reconnect.
+  /// incomplete partials now (they can never complete). Markers and the
+  /// floor stay, so a verdict that was congestion misjudged as death keeps
+  /// exactly-once delivery across the reconnect: messages the origin had
+  /// not settled keep their markers, and settled ones stay below the floor.
   void reclaim_peer_partials(int origin);
 
  private:
+  using Completion = std::function<void(Context&, sim::Actor&)>;
+
   // Assembly state at the target side of a message.
   struct Assembly {
     PktKind kind = PktKind::kPutHdr;
     bool has_header = false;
     bool completed = false;
-    bool completion_ran = false;
+    /// Completed, but its completion handler has not returned yet: re-acks
+    /// withhold the DONE flag until it has.
+    bool done_pending = false;
     std::int64_t total = -1;
     std::int64_t received = 0;
     std::byte* buffer = nullptr;
     std::shared_ptr<const WireMeta> hdr;  // counters/flags for acks
-    std::function<void(Context&, sim::Actor&)> completion;
+    /// The header handler's completion, held until the message completes;
+    /// then the finishing job takes it.
+    Completion completion;
     /// Data packets that arrived before the header packet (out-of-order
     /// delivery): staged until the header handler supplies the buffer.
     std::vector<net::Packet> staged;
@@ -138,7 +160,8 @@ class AssemblyEngine {
     Time last_update = 0;
   };
 
-  using AssemblyMap = std::map<std::pair<int, std::int64_t>, Assembly>;
+  using Key = std::pair<int, std::int64_t>;  // (origin, msg_id)
+  using AssemblyMap = std::map<Key, Assembly>;
 
   /// `origin_epoch` is the acked message's origin incarnation (its life the
   /// reply is addressed to — a restarted origin rejects replies stamped for
@@ -146,7 +169,22 @@ class AssemblyEngine {
   void send_ack(int target, std::int64_t msg_id, bool data, bool done,
                 Counter* org_cntr, Counter* cmpl_cntr, std::int64_t pkts,
                 std::int64_t origin_epoch, Time when);
-  void finish_assembly(int origin, std::int64_t msg_id);
+  /// Answer a packet of a message below its origin's floor: the ack a
+  /// completed marker would send, with null counters (the origin dropped the
+  /// record, so nothing reads them). Returns the dispatcher cost.
+  Time ack_settled(const net::Packet& pkt, const WireMeta& m);
+  /// The last byte of `as` landed: mark it completed and, after the
+  /// dispatcher's `when`, finish it from state the job captures itself.
+  void complete(const Key& key, Assembly& as, Time when);
+  void finish_assembly(const Key& key, std::shared_ptr<const WireMeta> hdr,
+                       std::int64_t pkts, Completion completion);
+  std::int64_t floor_of(int origin) const {
+    return static_cast<std::size_t>(origin) < floors_.size()
+               ? floors_[static_cast<std::size_t>(origin)]
+               : 0;
+  }
+  /// Erase every record of `origin` below msg id `below`.
+  void prune(int origin, std::int64_t below);
   /// NACK `origin` about msg_id, at most once until that message shows
   /// forward progress (an accepted packet clears the suppression).
   void send_nack(int origin, std::int64_t msg_id, std::int64_t origin_epoch);
@@ -171,10 +209,13 @@ class AssemblyEngine {
   const bool checksums_;
 
   AssemblyMap assemblies_;
-  std::map<std::pair<int, std::int64_t>, std::int64_t> rmw_cache_;
+  std::map<Key, std::int64_t> rmw_cache_;
   /// Messages already NACKed with no forward progress since (suppresses
   /// NACK storms when a burst of one message's packets all overflow).
-  std::set<std::pair<int, std::int64_t>> nacked_;
+  std::set<Key> nacked_;
+  /// Per-origin floor, indexed by task: the highest settled watermark seen
+  /// in the origin's current incarnation.
+  std::vector<std::int64_t> floors_;
   std::size_t live_partials_ = 0;
   std::int64_t epoch_ = 0;
 };

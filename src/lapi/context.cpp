@@ -430,7 +430,9 @@ Time Context::process_packet(net::Packet& pkt) {
     case PktKind::kRmwResp: return send_.on_rmw_resp(pkt);
     case PktKind::kNack: return send_.on_nack(pkt);
     case PktKind::kCredit: return send_.on_credit(pkt);
-    case PktKind::kProbe: return send_.on_probe(pkt);
+    case PktKind::kProbe:
+      assembly_.settle(pkt.src, m.settled);
+      return send_.on_probe(pkt);
     case PktKind::kProbeAck: return cost().lapi_pkt_rx;
     default: return assembly_.process(pkt);
   }
@@ -470,8 +472,7 @@ void Context::on_peer_failed(int peer, bool direct) {
   // First-hand detection (retry exhaustion or keepalive misses in the send
   // engine). The send side already failed every record toward the peer;
   // clean up our target side — its incomplete partials can never finish.
-  // Completed-message dedup markers stay: the verdict may be congestion
-  // misjudged as death, and exactly-once delivery must survive a reconnect.
+  // Its markers and floor stay (see reclaim_peer_partials).
   assembly_.reclaim_peer_partials(peer);
   // Deliver the LAPI_Init-registered error handler on the completion-thread
   // pool, exactly once per failure latch, like any completion handler would

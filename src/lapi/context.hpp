@@ -171,6 +171,10 @@ class Context : private ProgressEngine::Sink, private AssemblyEngine::Env {
   Time srtt() const { return send_.srtt(); }
   /// Incomplete reassembly partials currently held at this target.
   std::size_t partials() const { return assembly_.live_partials(); }
+  /// Per-message target-side records held (AssemblyEngine::retained_records).
+  std::size_t retained_records() const {
+    return assembly_.retained_records();
+  }
   /// Flow-control credits currently available toward `peer` (the full
   /// window when credits are off or nothing is outstanding).
   std::int64_t credits_available(int peer) const {

@@ -70,6 +70,12 @@ struct WireMeta {
   /// Message id, unique per origin context. Keyed (origin, msg_id) at the
   /// target for assembly and duplicate suppression.
   std::int64_t msg_id = 0;
+  /// Settled watermark, stamped by the sending SendEngine on every packet:
+  /// the lowest msg id it may still transmit. Every message of this origin
+  /// below it is acked, answered or abandoned, so the target forgets it (its
+  /// per-origin floor, AssemblyEngine::settle). Simulator state, not a
+  /// modelled header byte: header_bytes and virtual time are unchanged.
+  std::int64_t settled = 0;
   std::int64_t offset = 0;     // kData: byte offset of this fragment
   std::int64_t total_len = 0;  // header packets: full udata length
   /// End-to-end CRC of this packet's payload bytes, stamped by the origin

@@ -143,6 +143,7 @@ void SendEngine::submit(PktKind kind, int target,
   const CostModel& cm = progress_.cost();
   hdr->kind = kind;
   hdr->msg_id = msg_seq_++;
+  unrecorded_.insert(hdr->msg_id);
   const std::int64_t len =
       data ? static_cast<std::int64_t>(data->size()) : 0;
   // Protocol decision: eager / rendezvous / zero-copy, plus the call-side
@@ -221,6 +222,7 @@ void SendEngine::submit(PktKind kind, int target,
   rec.pkts = pkts;
   const std::int64_t id = hdr->msg_id;
   SendRecord& live = sends_.emplace(id, std::move(rec)).first->second;
+  unrecorded_.erase(id);
   ++outstanding_data_;
 #ifdef SPLAP_AUDIT
   send_ledger_.insert(&live, "SendEngine::submit");
@@ -446,8 +448,16 @@ void SendEngine::transmit_packets(const SendRecord& rec,
   }
 }
 
-net::Packet SendEngine::packet(int dst, std::shared_ptr<const void> meta,
+net::Packet SendEngine::packet(int dst, std::shared_ptr<WireMeta> meta,
                                std::int64_t header_bytes) {
+  meta->settled = watermark();
+#ifdef SPLAP_AUDIT
+  if (meta->settled < last_watermark_) {
+    audit::fail("settled watermark moved backwards", "SendEngine::packet",
+                this);
+  }
+  last_watermark_ = meta->settled;
+#endif
   net::Packet p = wire_.make_packet();
   p.src = task_id_;
   p.dst = dst;

@@ -26,6 +26,7 @@
 // SPLAP_AUDIT builds).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -333,6 +334,16 @@ class SendEngine final : public ReliableChannel::Sender {
   /// its counters fired then, and must not fire again.
   bool note_get_reply(int peer, std::int64_t req);
 
+  /// The settled watermark (WireMeta::settled): the lowest msg id of a live
+  /// send record, or of one still being submitted; the next msg id when
+  /// none is. Monotone: ids are allocated in increasing order.
+  std::int64_t watermark() const {
+    std::int64_t w = msg_seq_;
+    if (!sends_.empty()) w = std::min(w, sends_.begin()->first);
+    if (!unrecorded_.empty()) w = std::min(w, *unrecorded_.begin());
+    return w;
+  }
+
   int outstanding_data() const { return outstanding_data_; }
   int outstanding_gets() const { return outstanding_gets_; }
   std::size_t pending_sends() const { return sends_.size(); }
@@ -435,9 +446,9 @@ class SendEngine final : public ReliableChannel::Sender {
   /// everything, so a wrong guess costs time, never correctness.
   void transmit_packets(const SendRecord& rec, std::int64_t skip_first = 0);
   void transmit_probe(const SendRecord& rec);
-  /// A LAPI packet from this task to `dst`: `meta` in a header of
-  /// `header_bytes`.
-  net::Packet packet(int dst, std::shared_ptr<const void> meta,
+  /// A LAPI packet from this task to `dst`: `meta`, stamped with the
+  /// current watermark, in a header of `header_bytes`.
+  net::Packet packet(int dst, std::shared_ptr<WireMeta> meta,
                      std::int64_t header_bytes);
   /// (Re)transmit a record: its packets while the data is unacknowledged,
   /// else a bare duplicate header that elicits the missing DONE ack.
@@ -540,6 +551,10 @@ class SendEngine final : public ReliableChannel::Sender {
 
   std::int64_t msg_seq_ = 0;
   std::map<std::int64_t, SendRecord> sends_;
+  /// Msg ids allocated by a submit() that has not recorded them yet (the
+  /// call yields for its charge, and may park for credits, in between): the
+  /// watermark must not pass them.
+  std::set<std::int64_t> unrecorded_;
   int outstanding_data_ = 0;
   int outstanding_gets_ = 0;
   ReliableChannel channel_;
@@ -563,6 +578,9 @@ class SendEngine final : public ReliableChannel::Sender {
   /// than it holds, or releasing after its lease fully returned, aborts at
   /// the corrupting operation (conservation of the per-peer window).
   audit::LiveSet credit_ledger_{"lapi credit lease"};
+  /// Last watermark stamped: a lower one would let a target's floor run
+  /// ahead of a message this engine still transmits.
+  std::int64_t last_watermark_ = 0;
 #endif
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "base/log.hpp"
@@ -419,17 +420,29 @@ Status Comm::recv(int src, int tag, std::span<std::byte> buf, RecvStatus* st) {
     return Status::kBadParameter;
   }
   const Request r = irecv(src, tag, buf, st);
-  wait(r);
-  auto it = postings_.find(r);
-  const bool truncated = it != postings_.end() && it->second.truncated;
-  const bool failed =
-      it != postings_.end() && it->second.failed && !it->second.done;
-  postings_.erase(r);
-  if (failed) return Status::kPeerFailed;
-  return truncated ? Status::kTruncated : Status::kOk;
+  await_request(r);
+  return retire(r);
 }
 
 void Comm::wait(Request r) {
+  await_request(r);
+  (void)retire(r);  // irecv+wait has no status to report
+}
+
+Status Comm::retire(Request r) {
+  auto it = postings_.find(r);
+  if (it == postings_.end()) return Status::kOk;
+  const Posting& p = it->second;
+  const Status st = p.failed && !p.done ? Status::kPeerFailed
+                    : p.truncated       ? Status::kTruncated
+                                        : Status::kOk;
+  posting_order_.erase(
+      std::find(posting_order_.begin(), posting_order_.end(), r));
+  postings_.erase(it);
+  return st;
+}
+
+void Comm::await_request(Request r) {
   sim::Actor* a = sim::Actor::current();
   SPLAP_REQUIRE(a != nullptr, "wait must run in a task context");
   a->wait(
@@ -455,7 +468,9 @@ void Comm::wait(Request r) {
 
 bool Comm::test(Request r) {
   if (auto it = postings_.find(r); it != postings_.end()) {
-    return it->second.done || it->second.failed;
+    if (!it->second.done && !it->second.failed) return false;
+    (void)retire(r);
+    return true;
   }
   if (auto it = sends_.find(r); it != sends_.end()) {
     return it->second.state != SState::kWaitCts;
@@ -523,8 +538,7 @@ void Comm::pump_handlers() {
                      std::span<const std::byte>(msg.stage.data(),
                                                 msg.stage.size())};
   reg.handler(*this, d);
-  msg.stage.clear();
-  msg.stage.shrink_to_fit();
+  in_.erase(key);  // delivered: the source's cursor now stands for it
   schedule_handler_pump();
 }
 
@@ -584,6 +598,15 @@ Time Comm::ingest(InMsg& msg, std::int64_t offset,
   return cost().copy_time(len);
 }
 
+Comm::InMsg* Comm::receive_record(const Key& key) {
+  auto it = in_.lower_bound(key);
+  if (it != in_.end() && it->first == key) return &it->second;
+  if (key.second < next_admit_[static_cast<std::size_t>(key.first)]) {
+    return nullptr;
+  }
+  return &in_.emplace_hint(it, key, InMsg{})->second;
+}
+
 Time Comm::process(net::Packet& pkt) {
   const CostModel& cm = cost();
   const MplMeta& m = pkt.meta_as<MplMeta>();
@@ -602,7 +625,7 @@ Time Comm::process(net::Packet& pkt) {
     peer_epochs_[static_cast<std::size_t>(src)] = m.epoch;
     on_peer_reborn(src, m.epoch);
   }
-  const auto key = std::pair<int, std::int64_t>{src, m.seq};
+  const Key key{src, m.seq};
 
   // Completion effects (posting done / handler dispatch) land at the END of
   // this packet's processing cost — the receive-side matching and copy time
@@ -623,13 +646,14 @@ Time Comm::process(net::Packet& pkt) {
   switch (m.kind) {
     case MplKind::kEager:
     case MplKind::kRts: {
-      InMsg& msg = in_[key];
+      InMsg* rec = receive_record(key);
       Time c = cm.mpi_pkt_rx;
-      if (msg.shed) return c;  // tombstone: no buffering, no ack
-      if (msg.assembled) {
+      if (rec != nullptr && rec->shed) return c;  // tombstone: no ack
+      if (rec == nullptr || rec->assembled) {
         send_ctl(src, MplKind::kAck, m.seq, engine().now() + c);
         return c;
       }
+      InMsg& msg = *rec;
       if (msg.have_envelope) {
         if (m.kind == MplKind::kRts && msg.matched && !msg.assembled) {
           // Duplicate RTS: the CTS was probably lost — resend it.
@@ -657,13 +681,14 @@ Time Comm::process(net::Packet& pkt) {
     }
 
     case MplKind::kData: {
-      InMsg& msg = in_[key];
+      InMsg* rec = receive_record(key);
       Time c = cm.mpi_pkt_rx;
-      if (msg.shed) return c;  // tombstone: no buffering, no ack
-      if (msg.assembled) {
+      if (rec != nullptr && rec->shed) return c;  // tombstone: no ack
+      if (rec == nullptr || rec->assembled) {
         send_ctl(src, MplKind::kAck, m.seq, engine().now() + c);
         return c;
       }
+      InMsg& msg = *rec;
       if (!msg.have_envelope) {
         msg.early.emplace_back(m.offset, std::move(pkt.data));
         return c;
@@ -718,79 +743,25 @@ Time Comm::process(net::Packet& pkt) {
 }
 
 Time Comm::match_scan() {
-  const CostModel& cm = cost();
   Time charged = 0;
   bool progress = true;
   while (progress) {
     progress = false;
     // Admit envelopes strictly in per-source sequence order ("in-order
-    // message delivery", the MPL progress rule).
-    for (auto& [key, msg] : in_) {
-      if (msg.admitted || !msg.have_envelope) continue;
-      if (key.second !=
-          next_admit_[static_cast<std::size_t>(key.first)]) {
-        continue;
+    // message delivery", the MPL progress rule): sources ascending, and
+    // each source's run from its cursor, looked up directly.
+    for (auto sit = in_.begin(); sit != in_.end();) {
+      const int src = sit->first.first;
+      std::int64_t& cursor = next_admit_[static_cast<std::size_t>(src)];
+      for (auto it = in_.find({src, cursor});
+           it != in_.end() && it->second.have_envelope;
+           it = in_.find({src, cursor})) {
+        ++cursor;  // admitted: the cursor now stands past it
+        progress = true;
+        admit(it->first, it->second, charged);
       }
-      msg.admitted = true;
-      ++next_admit_[static_cast<std::size_t>(key.first)];
-      progress = true;
-      // Try the posted queue in post order.
-      bool bound = false;
-      for (const Request pid : posting_order_) {
-        auto pit = postings_.find(pid);
-        if (pit == postings_.end() || pit->second.matched) continue;
-        Posting& p = pit->second;
-        if ((p.src == kAnySource || p.src == key.first) &&
-            (p.tag == kAnyTag || p.tag == msg.tag)) {
-          charged += bind(p, key.first, key.second, msg);
-          bound = true;
-          break;
-        }
-      }
-      if (bound) continue;
-      // Then rcvncall registrations.
-      for (std::size_t ri = 0; ri < registrations_.size(); ++ri) {
-        if (registrations_[ri].tag == msg.tag) {
-          msg.matched = true;
-          msg.to_rcvncall = true;
-          msg.reg_index = static_cast<int>(ri);
-          charged += cm.mpi_match;
-          if (msg.is_rndv) {
-            msg.stage.resize(static_cast<std::size_t>(msg.total));
-            charged += cm.mpi_ctl;
-            send_ctl(key.first, MplKind::kCts, key.second,
-                     engine().now() + charged);
-          }
-          if (msg.assembled && !msg.delivered) {
-            msg.delivered = true;
-            complete_message(key.first, key.second);
-          }
-          bound = true;
-          break;
-        }
-      }
-      if (!bound) {
-        if (config_.max_unexpected > 0 && !msg.is_rndv &&
-            static_cast<std::int64_t>(unexpected_.size()) >=
-                config_.max_unexpected) {
-          // Unexpected queue full: shed this eager message instead of
-          // buffering without bound. The tombstone keeps the in-order
-          // cursor honest; no ack ever goes back, so the sender's retry
-          // budget exhausts and surfaces the loss on its side too.
-          msg.shed = true;
-          msg.stage.clear();
-          msg.stage.shrink_to_fit();
-          msg.early.clear();
-          msg.seen.clear();
-          msg.received = 0;
-          engine().counters().bump("mpl.unexpected_shed");
-          if (comm_status_ != Status::kPeerFailed) {
-            comm_status_ = Status::kResourceExhausted;
-          }
-        } else {
-          unexpected_.push_back(key);
-        }
-      }
+      sit = in_.lower_bound(
+          {src + 1, std::numeric_limits<std::int64_t>::min()});
     }
     // New postings may match queued unexpected messages.
     for (auto uit = unexpected_.begin(); uit != unexpected_.end();) {
@@ -816,6 +787,57 @@ Time Comm::match_scan() {
     }
   }
   return charged;
+}
+
+void Comm::admit(Key key, InMsg& msg, Time& charged) {
+  // Try the posted queue in post order.
+  for (const Request pid : posting_order_) {
+    auto pit = postings_.find(pid);
+    if (pit == postings_.end() || pit->second.matched) continue;
+    Posting& p = pit->second;
+    if ((p.src == kAnySource || p.src == key.first) &&
+        (p.tag == kAnyTag || p.tag == msg.tag)) {
+      charged += bind(p, key.first, key.second, msg);
+      return;
+    }
+  }
+  // Then rcvncall registrations.
+  for (std::size_t ri = 0; ri < registrations_.size(); ++ri) {
+    if (registrations_[ri].tag != msg.tag) continue;
+    msg.matched = true;
+    msg.to_rcvncall = true;
+    msg.reg_index = static_cast<int>(ri);
+    charged += cost().mpi_match;
+    if (msg.is_rndv) {
+      msg.stage.resize(static_cast<std::size_t>(msg.total));
+      charged += cost().mpi_ctl;
+      send_ctl(key.first, MplKind::kCts, key.second, engine().now() + charged);
+    }
+    if (msg.assembled && !msg.delivered) {
+      msg.delivered = true;
+      complete_message(key.first, key.second);
+    }
+    return;
+  }
+  if (config_.max_unexpected > 0 && !msg.is_rndv &&
+      static_cast<std::int64_t>(unexpected_.size()) >= config_.max_unexpected) {
+    // Unexpected queue full: shed this eager message instead of buffering
+    // without bound. The tombstone keeps the in-order cursor honest; no ack
+    // ever goes back, so the sender's retry budget exhausts and surfaces the
+    // loss on its side too.
+    msg.shed = true;
+    msg.stage.clear();
+    msg.stage.shrink_to_fit();
+    msg.early.clear();
+    msg.seen.clear();
+    msg.received = 0;
+    engine().counters().bump("mpl.unexpected_shed");
+    if (comm_status_ != Status::kPeerFailed) {
+      comm_status_ = Status::kResourceExhausted;
+    }
+  } else {
+    unexpected_.push_back(key);
+  }
 }
 
 Time Comm::bind(Posting& p, int src, std::int64_t seq, InMsg& msg) {
@@ -857,8 +879,9 @@ Time Comm::bind(Posting& p, int src, std::int64_t seq, InMsg& msg) {
 }
 
 void Comm::complete_message(int src, std::int64_t seq) {
-  const auto key = std::pair<int, std::int64_t>{src, seq};
-  InMsg& msg = in_.at(key);
+  auto it = in_.find({src, seq});
+  if (it == in_.end()) return;  // the source restarted: its old life is gone
+  InMsg& msg = it->second;
   SPLAP_REQUIRE(msg.assembled && msg.matched && msg.delivered,
                 "completing an unready message");
   if (msg.to_rcvncall) {
@@ -873,8 +896,7 @@ void Comm::complete_message(int src, std::int64_t seq) {
     Posting& p = pit->second;
     if (p.matched && p.m_src == src && p.m_seq == seq && !p.done) {
       p.done = true;
-      msg.stage.clear();
-      msg.stage.shrink_to_fit();
+      in_.erase(it);  // delivered: the source's cursor now stands for it
       notify();
       return;
     }

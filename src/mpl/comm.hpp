@@ -130,6 +130,12 @@ class Comm : private lapi::ReliableChannel::Sender {
   /// Has this communicator declared `peer`'s node dead?
   bool peer_failed(int peer) const { return failed_peers_.count(peer) != 0; }
 
+  /// Entries of the per-message receive tables: undelivered (or shed)
+  /// messages plus live postings, counted once per table they sit in.
+  std::size_t retained_records() const {
+    return in_.size() + postings_.size() + posting_order_.size();
+  }
+
  private:
   // --- origin-side state ---------------------------------------------------
   enum class SState {
@@ -153,14 +159,15 @@ class Comm : private lapi::ReliableChannel::Sender {
   };
 
   // --- target-side state -----------------------------------------------------
+  /// One message's receive record, erased once it is delivered: a message
+  /// absent below its source's admission cursor (next_admit_) was delivered,
+  /// so a late duplicate of it is re-acked, never re-matched.
   struct InMsg {
     bool is_rndv = false;
     bool have_envelope = false;
-    bool admitted = false;    // passed the in-order cursor
     bool matched = false;
     bool assembled = false;   // all bytes in `stage` or user buffer
     bool delivered = false;   // handed to a posting / rcvncall handler
-    bool acked = false;
     /// Shed by the unexpected-queue cap: a tombstone that refuses further
     /// buffering and never acks (the sender's retries exhaust cleanly).
     bool shed = false;
@@ -225,8 +232,19 @@ class Comm : private lapi::ReliableChannel::Sender {
   /// with the new epoch stay live.
   void on_peer_reborn(int peer, std::int64_t new_epoch);
 
+  using Key = std::pair<int, std::int64_t>;  // (source, seq)
+
+  /// Block until request `r` completes (see wait()).
+  void await_request(Request r);
+  /// Drop a finished posting from postings_ and posting_order_ (a no-op for
+  /// sends and retired requests); returns how the receive ended.
+  Status retire(Request r);
+
   // Receive path.
   void on_delivery(net::Packet&& pkt);
+  /// The receive record of `key`, created on first sight; nullptr when the
+  /// message was already delivered.
+  InMsg* receive_record(const Key& key);
   void schedule_pump();
   void pump();
   Time process(net::Packet& pkt);
@@ -235,6 +253,10 @@ class Comm : private lapi::ReliableChannel::Sender {
   /// Advance the per-source in-order cursors, match admitted messages
   /// against postings and rcvncall registrations. Returns extra CPU charged.
   Time match_scan();
+  /// Match the just-admitted message `key`: a posting, else an rcvncall
+  /// registration, else the unexpected queue (or shed when it is full).
+  /// Adds the CPU charged to `charged`, the scan's running total.
+  void admit(Key key, InMsg& msg, Time& charged);
   /// Bind a message to a posting (CTS for rendezvous, stage copy for
   /// late-matched eager). Returns the CPU charged.
   Time bind(Posting& p, int src, std::int64_t seq, InMsg& msg);
@@ -260,7 +282,7 @@ class Comm : private lapi::ReliableChannel::Sender {
   std::vector<std::int64_t> next_send_seq_;   // per destination
 
   std::vector<std::int64_t> next_admit_;      // per source in-order cursor
-  std::map<std::pair<int, std::int64_t>, InMsg> in_;
+  std::map<Key, InMsg> in_;
   std::deque<std::pair<int, std::int64_t>> unexpected_;  // admission order
   std::map<Request, Posting> postings_;
   std::deque<Request> posting_order_;
