@@ -1,6 +1,7 @@
 // Wall-clock performance of the simulator itself (google-benchmark): event
 // throughput of the DES engine, actor handoff rate, fabric packet rate,
-// end-to-end simulated-LAPI message rate and MPL ping-pong exchange rate.
+// end-to-end simulated-LAPI message rate and MPL ping-pong exchange rate
+// (those two also report baton handoffs per item, `resumes_per_item`).
 // These are meta-benchmarks of the reproduction infrastructure, not paper
 // results — they bound how large an experiment the simulator can run
 // interactively.
@@ -10,6 +11,7 @@
 // across PRs in a machine-readable form.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -112,8 +114,18 @@ void BM_FabricPacketRate(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricPacketRate)->Arg(2000);
 
+/// Baton handoffs between actor threads per item (message or exchange),
+/// whole job included: Engine::resumes() summed over the iterations.
+void set_resumes_per_item(benchmark::State& state, std::uint64_t resumes,
+                          int items_per_iteration) {
+  state.counters["resumes_per_item"] =
+      static_cast<double>(resumes) /
+      static_cast<double>(state.iterations() * items_per_iteration);
+}
+
 void BM_LapiPutMessageRate(benchmark::State& state) {
   const int msgs = static_cast<int>(state.range(0));
+  std::uint64_t resumes = 0;
   for (auto _ : state) {
     net::Machine::Config mc;
     mc.tasks = 2;
@@ -131,8 +143,10 @@ void BM_LapiPutMessageRate(benchmark::State& state) {
       }
       ok(ctx.gfence());
     });
+    resumes += m.engine().resumes();
   }
   state.SetItemsProcessed(state.iterations() * msgs);
+  set_resumes_per_item(state, resumes, msgs);
 }
 BENCHMARK(BM_LapiPutMessageRate)->Arg(500)->UseRealTime();
 
@@ -143,6 +157,7 @@ void BM_MplPingPong(benchmark::State& state) {
   // 1k to 16k exchanges (it grew with every message ever received when the
   // matcher walked them all).
   const int exchanges = static_cast<int>(state.range(0));
+  std::uint64_t resumes = 0;
   for (auto _ : state) {
     net::Machine::Config mc;
     mc.tasks = 2;
@@ -164,8 +179,10 @@ void BM_MplPingPong(benchmark::State& state) {
       comm.barrier();
     });
     ok(st);
+    resumes += m.engine().resumes();
   }
   state.SetItemsProcessed(state.iterations() * exchanges);
+  set_resumes_per_item(state, resumes, exchanges);
 }
 BENCHMARK(BM_MplPingPong)->Arg(1000)->Arg(16000)->UseRealTime();
 
@@ -183,6 +200,8 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
       row.iterations = static_cast<long long>(r.iterations);
       const auto it = r.counters.find("items_per_second");
       row.items_per_second = it != r.counters.end() ? it->second.value : 0.0;
+      const auto rs = r.counters.find("resumes_per_item");
+      row.resumes_per_item = rs != r.counters.end() ? rs->second.value : -1.0;
       rows_.push_back(std::move(row));
     }
     ConsoleReporter::ReportRuns(runs);
@@ -199,10 +218,13 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"real_time_ns\": %.1f, "
                    "\"cpu_time_ns\": %.1f, \"iterations\": %lld, "
-                   "\"items_per_second\": %.1f}%s\n",
+                   "\"items_per_second\": %.1f",
                    r.name.c_str(), r.real_time_ns, r.cpu_time_ns,
-                   r.iterations, r.items_per_second,
-                   i + 1 < rows_.size() ? "," : "");
+                   r.iterations, r.items_per_second);
+      if (r.resumes_per_item >= 0) {
+        std::fprintf(f, ", \"resumes_per_item\": %.3f", r.resumes_per_item);
+      }
+      std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -216,6 +238,7 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
     double cpu_time_ns = 0;
     long long iterations = 0;
     double items_per_second = 0;
+    double resumes_per_item = -1;  // < 0: the benchmark does not report it
   };
   std::vector<Row> rows_;
 };

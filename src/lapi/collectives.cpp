@@ -116,10 +116,12 @@ void Context::fence() {
   SPLAP_REQUIRE(a != nullptr, "LAPI_Fence must run in a task context");
   enter_library();
   a->compute(call_entry_cost());
-  while (send_.outstanding_data() > 0 || send_.outstanding_gets() > 0) {
-    progress_.waiters().add(*a);
-    a->suspend("lapi-fence");
-  }
+  progress_.waiters().park(
+      *a,
+      [this] {
+        return send_.outstanding_data() == 0 && send_.outstanding_gets() == 0;
+      },
+      "lapi-fence");
   exit_library();
 }
 
@@ -157,15 +159,18 @@ Status Context::gfence() {
     const int from = (task_id() - dist + n) % n;
     enter_library();
     const auto key = std::pair<std::int64_t, int>{seq, round};
-    while (barrier_got_[key] < 1) {
-      if (send_.peer_failed(from)) {
-        degraded = true;
-        break;
-      }
-      if (send_.peer_suspected(from)) degraded_suspected = true;
-      progress_.waiters().add(*a);
-      a->suspend("lapi-gfence");
-    }
+    progress_.waiters().park(
+        *a,
+        [&] {
+          if (barrier_got_[key] >= 1) return true;
+          if (send_.peer_failed(from)) {
+            degraded = true;
+            return true;
+          }
+          if (send_.peer_suspected(from)) degraded_suspected = true;
+          return false;
+        },
+        "lapi-gfence");
     exit_library();
   }
   // GC this generation's pulses.
@@ -210,10 +215,8 @@ void Context::address_init(void* mine, std::span<void*> table) {
       if (c != nullptr) c->notify();
     }
   } else {
-    while (!slot.done) {
-      progress_.waiters().add(*a);
-      a->suspend("lapi-address-init");
-    }
+    progress_.waiters().park(*a, [&slot] { return slot.done; },
+                             "lapi-address-init");
   }
   std::copy(slot.addrs.begin(), slot.addrs.end(), table.begin());
   exit_library();

@@ -89,15 +89,15 @@ void Context::term() {
       // message for good (peer already gone), the retransmit layer gives up
       // and we proceed.
       enter_library();
-      while (send_.outstanding_data() > 0 || send_.outstanding_gets() > 0 ||
-             progress_.pending_effects() > 0) {
-        if (send_.all_exhausted() && send_.outstanding_gets() == 0 &&
-            progress_.pending_effects() == 0) {
-          break;
-        }
-        progress_.waiters().add(*a);
-        a->suspend("lapi-term-quiesce");
-      }
+      progress_.waiters().park(
+          *a,
+          [this] {
+            const bool idle = send_.outstanding_gets() == 0 &&
+                              progress_.pending_effects() == 0;
+            return idle && (send_.outstanding_data() == 0 ||
+                            send_.all_exhausted());
+          },
+          "lapi-term-quiesce");
       exit_library();
       svc_->stop(*a);
       // Retire (not unregister): a duplicate ack elicited by our last
@@ -190,10 +190,8 @@ Status Context::waitcntr(Counter& c, std::int64_t val) {
   SPLAP_REQUIRE(val >= 0, "negative wait value");
   enter_library();
   a->compute(call_entry_cost());
-  while (c.value_ < val) {
-    progress_.waiters().add(*a);
-    a->suspend("lapi-waitcntr");
-  }
+  progress_.waiters().park(*a, [&c, val] { return c.value_ >= val; },
+                           "lapi-waitcntr");
   c.value_ -= val;  // Waitcntr auto-decrements (Section 2.3)
   // Failure completions (retry exhaustion) unblocked this wait like any
   // other bump; surface them instead of pretending the data arrived. Each

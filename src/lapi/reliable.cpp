@@ -183,13 +183,12 @@ void SendEngine::submit(PktKind kind, int target,
       // splap-graph: allow(blocking-reachability): inside the
       // Actor::current() branch — handler-context sends park in
       // credit_waitq (park_for_credits below) instead of blocking.
-      a->wait(
-          [this, a, target, pkts] {
+      progress_.waiters().park(
+          *a,
+          [this, target, pkts] {
             const PeerState& p = peer_state(target);
-            if (p.life == PeerLife::kSuspected) return true;  // quarantine
-            if (admits(p, pkts)) return true;
-            progress_.waiters().add(*a);
-            return false;
+            return p.life == PeerLife::kSuspected ||  // quarantine
+                   admits(p, pkts);
           },
           "lapi-credit-park");
     }

@@ -63,17 +63,14 @@ class SvcPool {
   void stop(sim::Actor& self) {
     stopping_ = true;
     if (stackless_) {
-      while (pump_scheduled_ || !queue_.empty()) {
-        done_waiters_.add(self);
-        self.suspend("lapi-term-svc-drain");
-      }
+      done_waiters_.park(
+          self, [this] { return !pump_scheduled_ && queue_.empty(); },
+          "lapi-term-svc-drain");
       return;
     }
     waiters_.wake_all(engine_);
-    while (alive_ != 0) {
-      done_waiters_.add(self);
-      self.suspend("lapi-term-svc-drain");
-    }
+    done_waiters_.park(self, [this] { return alive_ == 0; },
+                       "lapi-term-svc-drain");
   }
 
   int queued() const { return static_cast<int>(queue_.size()); }
@@ -105,10 +102,8 @@ class SvcPool {
 
   void service_loop(sim::Actor& self) {
     for (;;) {
-      while (queue_.empty() && !stopping_) {
-        waiters_.add(self);
-        self.suspend("lapi-svc-idle");
-      }
+      waiters_.park(self, [this] { return !queue_.empty() || stopping_; },
+                    "lapi-svc-idle");
       if (queue_.empty() && stopping_) break;
       Job job = std::move(queue_.front());
       queue_.pop_front();

@@ -58,15 +58,16 @@ void Comm::term() {
   SPLAP_REQUIRE(a != nullptr, "Comm::term must run in a task context");
   if (!a->poisoned()) {
     try {
-      while (!sends_.empty() || pending_effects_ > 0) {
-        bool gave_up = true;
-        for (const auto& [id, req] : sends_) {
-          if (req.retry.retries < config_.max_retries) gave_up = false;
-        }
-        if (gave_up && pending_effects_ == 0) break;
-        waiters_.add(*a);
-        a->suspend("mpl-term-quiesce");
-      }
+      waiters_.park(
+          *a,
+          [this] {
+            if (pending_effects_ > 0) return false;
+            for (const auto& [id, req] : sends_) {
+              if (req.retry.retries < config_.max_retries) return false;
+            }
+            return true;  // drained, or every send gave up
+          },
+          "mpl-term-quiesce");
     } catch (...) {
       if (!a->poisoned()) throw;
       // The crash landed mid-quiesce: ~Comm is noexcept, so the engine's
@@ -445,21 +446,15 @@ Status Comm::retire(Request r) {
 void Comm::await_request(Request r) {
   sim::Actor* a = sim::Actor::current();
   SPLAP_REQUIRE(a != nullptr, "wait must run in a task context");
-  a->wait(
-      [&] {
+  waiters_.park(
+      *a,
+      [this, r] {
         if (auto it = postings_.find(r); it != postings_.end()) {
-          if (!it->second.done && !it->second.failed) {
-            waiters_.add(*a);
-            return false;
-          }
-          return true;
+          return it->second.done || it->second.failed;
         }
         if (auto it = sends_.find(r); it != sends_.end()) {
-          if (it->second.state == SState::kWaitCts) {
-            waiters_.add(*a);
-            return false;
-          }
-          return true;  // buffered / streaming: user buffer is reusable
+          // buffered / streaming: the user buffer is reusable
+          return it->second.state != SState::kWaitCts;
         }
         return true;  // already retired
       },

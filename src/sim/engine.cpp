@@ -199,6 +199,7 @@ void Actor::suspend(const char* why) {
                 "(blocking is forbidden in handler/event context)");
   block_reason_ = why;
   engine_.dispatch_until_resumed(this);
+  gate_ = nullptr;  // before the kill unwind too: wait()'s frame goes away
   if (poisoned_) throw ActorKilled{};
   block_reason_ = "running";
 }
@@ -373,6 +374,12 @@ void Engine::wake(Actor& a) {
   a.wake_pending_ = true;
   schedule_at(now(), [&a] {
     a.wake_pending_ = false;
+    // A gated actor whose predicate is still false stays parked: this is
+    // the point where its resumed thread would have re-checked and
+    // suspended again. A poisoned one is granted at once so it unwinds.
+    if (a.gate_ != nullptr && !a.poisoned_ && !a.gate_(a.gate_pred_)) {
+      return;
+    }
     a.grant();
   });
 }
@@ -413,6 +420,7 @@ void Engine::dispatch_until_resumed(Actor* self) {
   if (next == self) return;
   Actor::Seat& mine = self != nullptr ? self->seat_ : run_seat_;
   const bool exiting = self != nullptr && self->finished_;
+  ++resumes_;
   mine.give(next != nullptr ? next->seat_ : run_seat_);
   if (!exiting) mine.wait();
 }

@@ -104,11 +104,18 @@ class Actor {
   /// Callers must use a predicate re-check loop: wakeups can be stale.
   void suspend(const char* why);
 
-  /// Convenience: suspend until `pred()` holds, registering in nothing —
-  /// the waker is responsible for calling Engine::wake on this actor.
+  /// Suspend until `pred()` holds, registering in nothing — the waker is
+  /// responsible for calling Engine::wake on this actor. While suspended the
+  /// actor is gated: each wake event tests `pred()` in handler context and
+  /// resumes the actor only once it holds, so a false wakeup costs no thread
+  /// switch. `pred` may read state and re-register the actor with its waker,
+  /// and must never block.
   template <class Pred>
   void wait(Pred pred, const char* why) {
-    while (!pred()) suspend(why);
+    if (pred()) return;
+    gate_pred_ = &pred;
+    gate_ = [](void* p) -> bool { return (*static_cast<Pred*>(p))(); };
+    suspend(why);  // clears the gate; returns only after pred() held
   }
 
   /// The actor currently executing on this thread, or nullptr when the
@@ -173,6 +180,10 @@ class Actor {
   bool finished_ = false;
   bool wake_pending_ = false;  // coalesces redundant wakeups
   bool poisoned_ = false;      // engine teardown: unwind on next suspend
+  // The gated wait's predicate, type-erased and set for the length of its
+  // suspend: the wake event grants only when gate_(gate_pred_) is true.
+  bool (*gate_)(void*) = nullptr;
+  void* gate_pred_ = nullptr;
   Seat seat_;
   std::function<void(Actor&)> stackless_body_;  // stackless actors only
   std::thread thread_;
@@ -247,6 +258,10 @@ class Engine {
   /// Total events dispatched. Throughput observable for the scale
   /// benchmarks.
   std::uint64_t events_executed() const { return events_executed_; }
+
+  /// Baton handoffs from one thread to another (each is one OS thread
+  /// switch): the cost that gated waits keep off the per-packet path.
+  std::uint64_t resumes() const { return resumes_; }
 
   /// Run until the event queue drains. Returns kOk, or kDeadlock if actors
   /// remain blocked with no event that could ever wake them. Rethrows the
@@ -625,6 +640,7 @@ class Engine {
   static constexpr std::size_t kNoUnwind = SIZE_MAX;
   std::size_t unwind_from_ = kNoUnwind;  // where next_victim() scans from
   std::uint64_t events_executed_ = 0;
+  std::uint64_t resumes_ = 0;
 #ifdef SPLAP_AUDIT
   // Shadow state (audit builds only). audit_step_ numbers dispatches from 1;
   // 0 means "scheduled before the run loop started", which happens-before

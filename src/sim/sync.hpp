@@ -127,6 +127,18 @@ class WaitSet {
  public:
   void add(Actor& a) { waiters_.push_back(&a); }
 
+  /// Block actor `a` (the caller) until `ready()` holds. `ready` is a gate
+  /// predicate (see Actor::wait): the wake event tests it in handler
+  /// context, and a false result re-registers `a` here without resuming it.
+  template <class Pred>
+  void park(Actor& a, Pred ready, const char* why) {
+    a.wait([&] {
+      if (ready()) return true;
+      add(a);  // re-arm: the next wake_all tests ready() again
+      return false;
+    }, why);
+  }
+
   void wake_all(Engine& engine) {
     for (Actor* a : waiters_) engine.wake(*a);
     waiters_.clear();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -137,6 +138,126 @@ TEST(EngineTest, StaleWakeupsAreHarmless) {
     eng.wake(waiter);
   });
   EXPECT_EQ(eng.run(), Status::kOk);
+}
+
+/// One waiter blocked on `flag` while a second actor wakes it `kWakes` times
+/// with the flag still false, then sets it and wakes it once more. `gated`
+/// picks Actor::wait; otherwise the waiter runs the hand-rolled re-check
+/// loop that every wakeup resumes.
+struct FalseWakeRun {
+  static constexpr int kWakes = 1000;
+  std::uint64_t events = 0;
+  std::uint64_t resumes = 0;
+  int actor_checks = 0;    // predicate calls on the waiter's own identity
+  int handler_checks = 0;  // predicate calls from a wake event
+
+  explicit FalseWakeRun(bool gated) {
+    Engine eng;
+    bool flag = false;
+    Actor* waiter_self = nullptr;
+    auto pred = [&] {
+      ++(Actor::current() == waiter_self ? actor_checks : handler_checks);
+      return flag;
+    };
+    Actor& waiter = eng.spawn("waiter", [&](Actor& self) {
+      waiter_self = &self;
+      if (gated) {
+        self.wait(pred, "flag");
+      } else {
+        while (!pred()) self.suspend("flag");
+      }
+      EXPECT_TRUE(flag);
+    });
+    eng.spawn("waker", [&](Actor& self) {
+      for (int i = 0; i < kWakes; ++i) {
+        self.compute(microseconds(1));
+        eng.wake(waiter);
+      }
+      self.compute(microseconds(1));  // the last false wake must not coalesce
+      flag = true;
+      eng.wake(waiter);
+    });
+    EXPECT_EQ(eng.run(), Status::kOk);
+    events = eng.events_executed();
+    resumes = eng.resumes();
+  }
+};
+
+TEST(EngineTest, GatedWaiterResumesOnceAcrossFalseWakeups) {
+  const FalseWakeRun gated(true);
+  const FalseWakeRun loop(false);
+  // The predicate runs at the same points either way, so the schedule is
+  // the same event for event.
+  EXPECT_EQ(gated.events, loop.events);
+  EXPECT_EQ(gated.actor_checks + gated.handler_checks,
+            loop.actor_checks + loop.handler_checks);
+  // Gated: one check on entry, then every wake event checks in handler
+  // context and only the last one (flag set) resumes the waiter.
+  EXPECT_EQ(gated.actor_checks, 1);
+  EXPECT_EQ(gated.handler_checks, FalseWakeRun::kWakes + 1);
+  // The loop resumes the waiter's thread for every wakeup.
+  EXPECT_EQ(loop.actor_checks, FalseWakeRun::kWakes + 2);
+  EXPECT_EQ(loop.handler_checks, 0);
+  // Handoffs: run() -> waiter -> waker at the start, waker -> waiter when
+  // the flag holds, waiter -> run() at the end. The loop adds a round trip
+  // (waker -> waiter -> waker) per false wakeup.
+  EXPECT_EQ(gated.resumes, 4u);
+  EXPECT_EQ(loop.resumes, 4u + 2u * FalseWakeRun::kWakes);
+}
+
+TEST(EngineTest, KillShardWhileGatedRunsNoPredicateAfterThePoison) {
+  Engine eng;
+  bool unwound = false;
+  int checks = 0;
+  Actor& victim = eng.spawn_on(2, "victim", [&](Actor& self) {
+    OnUnwind guard{unwound};
+    self.wait(
+        [&] {
+          ++checks;
+          return false;
+        },
+        "gated until the node dies");
+  });
+  for (int t = 1; t <= 3; ++t) {
+    eng.schedule_at(microseconds(t), [&] { eng.wake(victim); });
+  }
+  int checks_at_kill = -1;
+  eng.schedule_at(microseconds(5), [&] {
+    checks_at_kill = checks;
+    eng.wake(victim);  // queued before the poison, runs after it
+    eng.kill_shard(2);
+    for (int t = 6; t <= 8; ++t) {
+      eng.schedule_at(microseconds(t), [&] { eng.wake(victim); });
+    }
+  });
+  EXPECT_EQ(eng.run(), Status::kOk);
+  EXPECT_EQ(checks_at_kill, 4);  // entry + three false wakeups
+  EXPECT_EQ(checks, checks_at_kill);
+  EXPECT_TRUE(unwound);
+  EXPECT_TRUE(victim.finished() && victim.poisoned());
+}
+
+TEST(EngineTest, ShutdownWhileGatedRunsNoPredicateAfterThePoison) {
+  Engine eng;
+  bool unwound = false;
+  int checks = 0;
+  Actor& victim = eng.spawn("victim", [&](Actor& self) {
+    OnUnwind guard{unwound};
+    self.wait(
+        [&] {
+          ++checks;
+          return false;
+        },
+        "gated forever");
+  });
+  eng.schedule_at(microseconds(1), [&] { eng.wake(victim); });
+  EXPECT_EQ(eng.run(), Status::kDeadlock);
+  EXPECT_EQ(checks, 2);
+  eng.wake(victim);  // queued but never dispatched (~Engine sweeps it)
+  eng.shutdown();
+  EXPECT_EQ(checks, 2);
+  EXPECT_TRUE(unwound);
+  EXPECT_TRUE(victim.finished() && victim.poisoned());
 }
 
 TEST(EngineTest, DeadlockDetected) {

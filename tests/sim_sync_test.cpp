@@ -194,5 +194,35 @@ TEST(WaitSetTest, WakeAllWakesEveryWaiter) {
   EXPECT_TRUE(ws.empty());
 }
 
+TEST(WaitSetTest, ParkReArmsUntilReadyAndResumesOnce) {
+  Engine eng;
+  WaitSet ws;
+  int level = 0;
+  int handler_checks = 0;
+  Time resumed_at = -1;
+  eng.spawn("parker", [&](Actor& self) {
+    ws.park(
+        self,
+        [&] {
+          if (Actor::current() == nullptr) ++handler_checks;
+          return level >= 3;
+        },
+        "waitset-park");
+    resumed_at = self.now();
+  });
+  for (int t = 1; t <= 3; ++t) {
+    eng.schedule_at(microseconds(t), [&] {
+      ++level;
+      ws.wake_all(eng);
+    });
+  }
+  EXPECT_EQ(eng.run(), Status::kOk);
+  // Each false check re-registered the parker, so every wake_all reached it;
+  // it resumed once, at the wake that found the level reached.
+  EXPECT_EQ(handler_checks, 3);
+  EXPECT_EQ(resumed_at, microseconds(3));
+  EXPECT_TRUE(ws.empty());
+}
+
 }  // namespace
 }  // namespace splap::sim

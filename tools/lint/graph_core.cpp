@@ -133,13 +133,16 @@ const std::set<std::string>& call_keywords() {
 }
 
 // Lambdas handed to these run in event/handler context (the dispatcher or a
-// stackless pump): they become blocking-reachability entry points.
+// stackless pump): they become blocking-reachability entry points. The gate
+// predicates of Actor::wait and WaitSet::park belong here too: a wake event
+// tests them on whichever thread dispatches it.
 const std::set<std::string>& handler_sinks() {
   static const std::set<std::string> k = {
       "schedule_at",      "schedule_after",   "schedule_thunk",
       "defer",            "run_inline",       "submit",
       "submit_completion", "lock_async",      "register_handler",
-      "set_deliver",      "set_overflow",
+      "set_deliver",      "set_overflow",     "wait",
+      "park",
   };
   return k;
 }

@@ -223,6 +223,35 @@ TEST(GraphBlocking, GuardedRegCachePinChargePasses) {
                          << v[0].rule << "] " << v[0].message;
 }
 
+TEST(GraphBlocking, GatePredicateReachingASuspensionFails) {
+  // A wake event tests the predicate of Actor::wait / WaitSet::park in
+  // handler context, so a predicate is an entry point like any callback;
+  // and a handler that reaches WaitSet::park itself blocks.
+  const std::vector<Violation> v = analyze(scenario("wait_predicate_bad"));
+  ASSERT_EQ(v.size(), 3u);
+  const std::vector<std::vector<const char*>> want = {
+      {"callback passed to park", "poll_adapter",
+       "suspension primitive Actor::compute"},
+      {"callback passed to wait", "settle",
+       "suspension primitive Actor::suspend"},
+      {"callback passed to schedule_after", "waitcntr",
+       "suspension primitive WaitSet::park"}};
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(v[i].rule, "blocking-reachability");
+    EXPECT_EQ(v[i].file, "src/lapi/wait.cpp");
+    for (const char* part : want[i]) {
+      EXPECT_NE(v[i].message.find(part), std::string::npos)
+          << "diagnostic lost `" << part << "`:\n" << v[i].message;
+    }
+  }
+}
+
+TEST(GraphBlocking, ReadOnlyGatePredicatesPass) {
+  const std::vector<Violation> v = analyze(scenario("wait_predicate_good"));
+  EXPECT_TRUE(v.empty()) << v[0].file << ":" << v[0].line << " ["
+                         << v[0].rule << "] " << v[0].message;
+}
+
 TEST(GraphLayering, TransitiveClosureCatchesIndirectLeaks) {
   const std::vector<Violation> v = analyze(scenario("layering_bad"));
   EXPECT_EQ(fired(v),

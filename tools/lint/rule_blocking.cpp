@@ -9,16 +9,19 @@
 //     submit_completion, run_inline, lock_async, register_handler,
 //     set_deliver/set_overflow, or any other stored-callback registration)
 //   - lambdas passed to spawn_stackless
+//   - gate predicates passed to Actor::wait / WaitSet::park, which the wake
+//     event tests in handler context
 //   - implementations of the narrow callback interfaces the transport uses
 //     to call upward: ProgressEngine::Sink, ReliableChannel::Sender,
 //     AssemblyEngine::Env
 //   - the demux/pump entry points the progress engine drives directly
 //
 // Suspension roots: Actor::suspend, Actor::wait, Actor::compute,
-// SimMutex::lock, SimBarrier::arrive_and_wait. The may-suspend bit
-// propagates backward through the call graph to a fixed point; an
-// allow-annotated line cuts both the root match and every call edge on it
-// (the annotation for the dual-mode `if (Actor::current())` pattern).
+// WaitSet::park, SimMutex::lock, SimBarrier::arrive_and_wait. The
+// may-suspend bit propagates backward through the call graph to a fixed
+// point; an allow-annotated line cuts both the root match and every call
+// edge on it (the annotation for the dual-mode `if (Actor::current())`
+// pattern).
 #include <algorithm>
 #include <deque>
 #include <map>
@@ -39,6 +42,7 @@ const std::vector<std::string>& suspend_roots() {
       "Actor::suspend",
       "Actor::wait",
       "Actor::compute",
+      "WaitSet::park",
       "SimMutex::lock",
       "SimBarrier::arrive_and_wait",
   };
