@@ -1,16 +1,16 @@
 // Engine scale-out benchmark: events/sec and packets/sec versus node count,
-// thread-per-actor driver versus stackless (handler-mode) driver, with the
+// thread-per-actor driver versus stackless (event-chain) driver, with the
 // identical virtual traffic pattern in both. These are meta-benchmarks of
-// the simulator (like bench_engine_perf), answering the ROADMAP item-4
-// question: how many simulated SP nodes can one process drive?
+// the simulator (like bench_engine_perf), answering the question: how many
+// simulated SP nodes can one process drive?
 //
 // Traffic: every node sends `kPacketsPerNode` full packets to its right
-// neighbour, one per simulated microsecond. The threaded driver paces with
-// Actor::compute (two OS-thread handoffs per packet — the cost this PR's
-// stackless actors eliminate); the stackless driver paces with a
-// self-rescheduling event chain that transmits under the node's stackless
-// identity actor. Virtual timelines are identical; the wall-clock gap is
-// pure actor-machinery overhead.
+// neighbour, one per simulated microsecond. The threaded driver is one actor
+// per node that paces with Actor::compute (an OS-thread handoff per packet);
+// the stackless driver has no actor at all: a self-rescheduling event chain
+// per node transmits each packet from event context, which is all
+// Fabric::transmit needs. Virtual timelines are identical; the wall-clock
+// gap is pure actor-machinery overhead.
 //
 // Emits BENCH_scale.json (override with --json_out=PATH), pinned by
 // scripts/golden_check.sh: run names, the schema tag, and the 1024-node
@@ -52,14 +52,12 @@ void send_one(net::Machine& m, int src, int nodes) {
 }
 
 struct StacklessDrv {
-  sim::Actor* actor = nullptr;
   int id = 0;
   int left = kPacketsPerNode;
 };
 
 void stackless_step(net::Machine& m, StacklessDrv* d, int nodes) {
-  d->actor->run_inline(
-      [&m, d, nodes](sim::Actor&) { send_one(m, d->id, nodes); });
+  send_one(m, d->id, nodes);
   if (--d->left > 0) {
     m.engine().schedule_at(m.engine().now() + microseconds(1),
                            [&m, d, nodes] { stackless_step(m, d, nodes); });
@@ -92,8 +90,6 @@ RunResult run_scenario(int nodes, bool stackless) {
     for (int i = 0; i < nodes; ++i) {
       StacklessDrv* d = &drvs[static_cast<std::size_t>(i)];
       d->id = i;
-      d->actor = &m.engine().spawn_stackless(
-          i, "drv" + std::to_string(i), nullptr);
       m.engine().schedule_at(microseconds(1),
                              [&m, d, nodes] { stackless_step(m, d, nodes); });
     }

@@ -22,9 +22,10 @@
 #              crashed node's teardown must leak zero records and credits
 #              beyond the forgiven crashed-epoch residue
 #   scale      the engine scale-out harness (tests labelled `scale`): the
-#              1024-node smoke, the stackless completion-pool equivalence
-#              and the spawn-exhaustion path, run optimized, under
-#              ASan+UBSan, and under SPLAP_AUDIT
+#              1024-node smoke at one OS thread per node, the lazily spawned
+#              completion pools, and the spawn-exhaustion paths (before and
+#              during a run), run optimized, under ASan+UBSan, and under
+#              SPLAP_AUDIT
 #   partition  the partition / gray-failure harness (tests labelled
 #              `partition`): asymmetric blackholes, split/merge of partition
 #              groups, stragglers under legacy-vs-accrual detection, the

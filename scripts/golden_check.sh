@@ -9,6 +9,8 @@
 #   fig2         the bandwidth sweep of Figure 2 (also exercised with
 #                SPLAP_SWEEP_THREADS elsewhere; the output is thread-count
 #                invariant)
+#   ablation A2  the completion-thread ablation (1-8 service threads per
+#                context): pins the completion pool's virtual timeline
 #   rdma         BENCH_rdma.json sweeps the three transfer protocols; its
 #                bandwidths depend on the rdma cost constants, so the guard
 #                pins schema, series-name set, and crossover keys, not bytes
@@ -22,14 +24,15 @@
 #                name set, not its bytes
 #   scale        BENCH_scale.json likewise: schema + run-name set pinned, plus
 #                the one number that is a hard claim rather than a timing —
-#                the 1024-node stackless-vs-threaded speedup floor (>= 10x).
+#                the 1024-node speedup floor (>= 10x) of the actor-free
+#                event-chain driver ("stackless") over one actor per node.
 #                The floor is skipped in sanitized/audit builds: instrumentation
-#                taxes the inline stackless path far more than the
+#                taxes the event-chain path far more than the
 #                thread-creation-bound baseline, so the ratio only means
 #                something on an optimized build.
 #
 # Usage: scripts/golden_check.sh <build-dir>
-# Re-baselining (only after an intentional behavior change): re-run the three
+# Re-baselining (only after an intentional behavior change): re-run the four
 # binaries and overwrite tests/golden/*.txt with their output; for the
 # detector, re-run `bench_detector --json_out=BENCH_detector.json`.
 set -euo pipefail
@@ -50,6 +53,10 @@ diff -u "$GOLD/table2.txt" "$TMP/table2.txt"
 echo "-- fig2"
 "$BUILD_DIR"/bench/bench_fig2_bandwidth > "$TMP/fig2.txt"
 diff -u "$GOLD/fig2.txt" "$TMP/fig2.txt"
+
+echo "-- ablation A2"
+"$BUILD_DIR"/bench/bench_ablation_cmplthreads > "$TMP/ablation_cmplthreads.txt"
+diff -u "$GOLD/ablation_cmplthreads.txt" "$TMP/ablation_cmplthreads.txt"
 
 echo "-- rdma schema"
 "$BUILD_DIR"/bench/bench_fig2_bandwidth --json_out="$TMP/BENCH_rdma.json" \
@@ -98,11 +105,11 @@ for name in threaded_64 stackless_64 threaded_256 stackless_256 \
   grep -q "\"name\": \"$name\"" "$TMP/BENCH_scale.json" \
     || { echo "missing run $name in BENCH_scale.json"; exit 1; }
 done
-# The PR's headline claim, re-proven on every run: at 1024 nodes the
-# stackless driver moves packets at >= 10x the thread-per-actor rate.
-# Sanitizer/audit instrumentation slows the inline stackless path far more
-# than the thread-creation-bound baseline, so the ratio is only meaningful
-# (and only enforced) on an uninstrumented build.
+# The headline claim, re-proven on every run: at 1024 nodes the event-chain
+# driver moves packets at >= 10x the thread-per-actor rate.
+# Sanitizer/audit instrumentation slows the event-chain path far more than
+# the thread-creation-bound baseline, so the ratio is only meaningful (and
+# only enforced) on an uninstrumented build.
 if grep -qE 'SPLAP_SANITIZE:[A-Z]+=(ON|thread)|SPLAP_AUDIT:[A-Z]+=ON' \
     "$BUILD_DIR/CMakeCache.txt" 2>/dev/null; then
   echo "   (instrumented build: schema+names pinned, speedup floor skipped)"

@@ -67,7 +67,7 @@ Context::Context(net::Node& node, Config config)
       [this](const net::Packet& p) { assembly_.on_overflow(p); });
   svc_ = std::make_unique<SvcPool>(
       engine(), "lapi" + std::to_string(task_id()), config.completion_threads,
-      config.stackless_completions, node_.id());
+      node_.id());
 
   // Registers the reserved barrier-pulse handler (id 0) and joins the
   // per-machine Universe registry; defined in collectives.cpp.

@@ -6,19 +6,17 @@
 // multiple completion handler threads" is the paper's future-work item 2 and
 // is available here via Config::completion_threads (ablation bench A2).
 //
-// Stackless mode (Config::stackless_completions): the pool owns a single
-// stackless identity actor instead of OS threads, and jobs run inline on a
-// pump event under that actor's identity. This saves one OS thread
-// per context — the difference between 2048 and 1024 threads on a 1024-node
-// run — at the price of the stackless contract: a job must return without
-// suspending (no compute()/waitcntr/mutex waits), which holds for the
-// library's own completion jobs but not for user handlers that block.
+// The threads are spawned when the first job arrives, so a context that never
+// runs a completion handler (put/get/fence-only programs, the 1024-node smoke
+// test) costs no OS thread beyond its task's own. The spawns schedule the
+// threads' start events exactly where a wake of idle threads would go, so
+// when a pool spawns moves no virtual-time result.
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -29,77 +27,43 @@ class SvcPool {
  public:
   using Job = std::function<void(sim::Actor&)>;
 
-  SvcPool(sim::Engine& engine, const std::string& tag, int threads,
-          bool stackless = false, int shard = sim::Engine::kNoShard)
-      : engine_(engine), stackless_(stackless) {
+  /// `threads` service actors pinned to node shard `shard`, named
+  /// `<tag>.svc<i>`; none exists until the first submit().
+  SvcPool(sim::Engine& engine, std::string tag, int threads, int shard)
+      : engine_(engine), tag_(std::move(tag)), threads_(threads),
+        shard_(shard) {
     SPLAP_REQUIRE(threads >= 1, "need at least one completion thread");
-    if (stackless_) {
-      // One identity actor is enough: jobs execute inline on the
-      // dispatching thread, so extra "threads" would only add names.
-      svc0_ = &engine_.spawn_stackless(shard, tag + ".svc0", nullptr);
+  }
+
+  /// Enqueue a completion job. Any context (dispatcher events included).
+  /// The first job spawns the service threads, which throws sim::SpawnError
+  /// when the OS refuses one.
+  void submit(Job job) {
+    SPLAP_REQUIRE(!stopping_, "submit after SvcPool::stop");
+    queue_.push_back(std::move(job));
+    if (spawned_) {
+      waiters_.wake_all(engine_);
       return;
     }
-    for (int i = 0; i < threads; ++i) {
-      engine_.spawn(tag + ".svc" + std::to_string(i), [this](sim::Actor& self) {
-        service_loop(self);
-      });
+    spawned_ = true;
+    for (int i = 0; i < threads_; ++i) {
+      engine_.spawn_on(shard_, tag_ + ".svc" + std::to_string(i),
+                       [this](sim::Actor& self) { service_loop(self); });
       ++alive_;
     }
   }
 
-  /// Enqueue a completion job. Any context (dispatcher events included).
-  void submit(Job job) {
-    SPLAP_REQUIRE(!stopping_, "submit after SvcPool::stop");
-    queue_.push_back(std::move(job));
-    if (stackless_) {
-      schedule_pump();
-      return;
-    }
-    waiters_.wake_all(engine_);
-  }
-
   /// Drain the queue and terminate the service threads. Must be called from
-  /// an actor context (LAPI_Term); returns when every thread has exited.
+  /// an actor context (LAPI_Term); returns when every thread has exited, at
+  /// once when none was ever spawned.
   void stop(sim::Actor& self) {
     stopping_ = true;
-    if (stackless_) {
-      done_waiters_.park(
-          self, [this] { return !pump_scheduled_ && queue_.empty(); },
-          "lapi-term-svc-drain");
-      return;
-    }
     waiters_.wake_all(engine_);
     done_waiters_.park(self, [this] { return alive_ == 0; },
                        "lapi-term-svc-drain");
   }
 
-  int queued() const { return static_cast<int>(queue_.size()); }
-  int busy() const { return busy_; }
-  bool idle() const { return queue_.empty() && busy_ == 0; }
-  bool stackless() const { return stackless_; }
-
  private:
-  void schedule_pump() {
-    if (pump_scheduled_) return;
-    pump_scheduled_ = true;
-    // `this` is safe: stop() drains the pump before the owning context tears
-    // the pool down, and an engine shutdown sweeps unrun events without
-    // invoking them.
-    engine_.schedule_at(engine_.now(), [this] {
-      pump_scheduled_ = false;
-      svc0_->run_inline([this](sim::Actor& self) {
-        while (!queue_.empty()) {
-          Job job = std::move(queue_.front());
-          queue_.pop_front();
-          ++busy_;
-          job(self);
-          --busy_;
-        }
-      });
-      done_waiters_.wake_all(engine_);
-    });
-  }
-
   void service_loop(sim::Actor& self) {
     for (;;) {
       waiters_.park(self, [this] { return !queue_.empty() || stopping_; },
@@ -107,9 +71,7 @@ class SvcPool {
       if (queue_.empty() && stopping_) break;
       Job job = std::move(queue_.front());
       queue_.pop_front();
-      ++busy_;
       job(self);
-      --busy_;
       done_waiters_.wake_all(engine_);
     }
     --alive_;
@@ -117,13 +79,13 @@ class SvcPool {
   }
 
   sim::Engine& engine_;
-  const bool stackless_;
-  sim::Actor* svc0_ = nullptr;  // stackless mode: the identity actor
+  const std::string tag_;
+  const int threads_;
+  const int shard_;
   std::deque<Job> queue_;
   sim::WaitSet waiters_;       // idle service threads
-  sim::WaitSet done_waiters_;  // stop()/drain observers
-  bool pump_scheduled_ = false;
-  int busy_ = 0;
+  sim::WaitSet done_waiters_;  // stop() observers
+  bool spawned_ = false;
   int alive_ = 0;
   bool stopping_ = false;
 };

@@ -120,15 +120,8 @@ struct Config {
   bool interrupt_mode = true;
   /// Completion-handler service threads (1 on the 1998 implementation;
   /// multiple threads are the paper's future-work item for SMP nodes).
+  /// They are spawned when the context's first completion handler arrives.
   int completion_threads = 1;
-  /// Run completion handlers on stackless service actors: jobs execute
-  /// inline on the engine thread instead of parking a dedicated OS thread
-  /// per context. Saves one thread per node at scale (1024-node runs halve
-  /// their thread count) but requires every completion handler to finish
-  /// without suspending — handlers that block (the GA accumulate mutex)
-  /// need the threaded default. Contract details: DESIGN.md engine
-  /// internals, "stackless actors".
-  bool stackless_completions = false;
   /// Retransmission: first timeout; doubles per retry. Generous by default:
   /// a busy dispatcher (e.g. a GA header handler streaming reply chunks)
   /// can legitimately delay acks by more than a millisecond. With

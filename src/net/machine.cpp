@@ -33,22 +33,22 @@ Machine::Machine(Config config)
 }
 
 Status Machine::run_spmd(const std::function<void(Node&)>& body) {
-  for (auto& node : nodes_) {
-    Node* n = node.get();
-    // Pinned to the node's shard so kill_node can crash-stop the task.
-    try {
+  Status st = Status::kOk;
+  try {
+    for (auto& node : nodes_) {
+      Node* n = node.get();
+      // Pinned to the node's shard so kill_node can crash-stop the task.
       n->task_ = &engine_.spawn_on(n->id(), "task" + std::to_string(n->id()),
                                    [n, body](sim::Actor&) { body(*n); });
-    } catch (const sim::SpawnError& e) {
-      // Thread exhaustion at high node counts is an environment limit, not a
-      // bug: quiesce the tasks already spawned and report it as recoverable.
-      SPLAP_WARN(engine_.now(), "run_spmd: %s", e.what());
-      engine_.shutdown();
-      for (auto& nd : nodes_) nd->task_ = nullptr;
-      return Status::kResourceExhausted;
     }
+    st = engine_.run();
+  } catch (const sim::SpawnError& e) {
+    // Thread exhaustion at high node counts is an environment limit, not a
+    // bug: unwind every actor spawned so far and report it as recoverable.
+    SPLAP_WARN(engine_.now(), "run_spmd: %s", e.what());
+    engine_.shutdown();
+    st = Status::kResourceExhausted;
   }
-  const Status st = engine_.run();
   for (auto& node : nodes_) node->task_ = nullptr;
   if (st == Status::kOk && !crash_planned_ && !allow_dead_letters_) {
     for (auto& node : nodes_) {

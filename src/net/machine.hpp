@@ -151,6 +151,10 @@ class Machine {
   /// addressed it, which is a bug, not weather. Crash/restart runs are the
   /// one legitimate source of dead letters (stale retransmissions arriving
   /// between a node's reboot and its LAPI_Init), so they skip the check.
+  ///
+  /// Returns kResourceExhausted, with every actor unwound, when the OS
+  /// refuses a thread: for a task before the run starts, or mid-run (a
+  /// completion pool spawning on its first job, a restarted task).
   Status run_spmd(const std::function<void(Node&)>& body);
 
   // --- crash-stop fault domain -------------------------------------------

@@ -45,22 +45,10 @@ Actor::Actor(Engine& engine, int id, int shard, std::string name,
     : engine_(engine),
       id_(id),
       shard_(shard),
-      stackless_(false),
       name_(std::move(name)) {
   thread_ = std::thread([this, b = std::move(body)]() mutable {
     thread_main(std::move(b));
   });
-}
-
-Actor::Actor(Engine& engine, int id, int shard, std::string name,
-             std::function<void(Actor&)> body, StacklessTag)
-    : engine_(engine),
-      id_(id),
-      shard_(shard),
-      stackless_(true),
-      name_(std::move(name)),
-      stackless_body_(std::move(body)) {
-  block_reason_ = stackless_body_ ? "not started" : "stackless-idle";
 }
 
 Actor::~Actor() {
@@ -140,60 +128,12 @@ bool Actor::poisoned() const { return poisoned_; }
 
 void Actor::grant() {
   if (finished_) return;
-  if (stackless_) {
-    Actor* saved = tls_current_actor;
-    tls_current_actor = this;
-    block_reason_ = "running";
-    struct Restore {  // restores on the throw path too
-      Actor*& slot;
-      Actor* saved;
-      Actor* self;
-      ~Restore() {
-        slot = saved;
-        self->block_reason_ = "finished";
-        self->finished_ = true;
-      }
-    } restore{tls_current_actor, saved, this};
-    if (stackless_body_) {
-      // Move out so captured state is freed as soon as the body returns.
-      auto body = std::move(stackless_body_);
-      stackless_body_ = nullptr;
-      body(*this);
-    }
-    return;
-  }
   SPLAP_REQUIRE(engine_.next_ == nullptr,
-                "one event may resume at most one thread-backed actor");
+                "one event may resume at most one actor");
   engine_.next_ = this;
 }
 
-void Actor::run_inline(const std::function<void(Actor&)>& fn) {
-  SPLAP_REQUIRE(stackless_,
-                "run_inline is only valid on a stackless actor (thread-backed "
-                "actors run their own body)");
-  SPLAP_REQUIRE(!finished_, "run_inline on a finished actor");
-  Actor* saved = tls_current_actor;
-  tls_current_actor = this;
-  const char* saved_reason = block_reason_;
-  block_reason_ = "running";
-  struct Restore {
-    Actor*& slot;
-    Actor* saved;
-    Actor* self;
-    const char* reason;
-    ~Restore() {
-      slot = saved;
-      self->block_reason_ = reason;
-    }
-  } restore{tls_current_actor, saved, this, saved_reason};
-  fn(*this);
-}
-
 void Actor::suspend(const char* why) {
-  SPLAP_REQUIRE(!stackless_,
-                "stackless (handler-mode) actor attempted to block; stackless "
-                "actors must never suspend/wait/compute — use a thread-backed "
-                "actor for blocking code");
   SPLAP_REQUIRE(current() == this,
                 "suspend() may only be called from the actor's own thread "
                 "(blocking is forbidden in handler/event context)");
@@ -293,12 +233,7 @@ void Engine::poison(int shard, bool all) {
     Actor& a = *actors_[i];
     if (a.finished_ || (!all && a.shard_ != shard)) continue;
     a.poisoned_ = true;
-    if (a.stackless_) {
-      // No stack to unwind: mark finished and drop any unstarted body.
-      a.finished_ = true;
-      a.block_reason_ = "finished";
-      a.stackless_body_ = nullptr;
-    } else if (running_) {
+    if (running_) {
       // The victim may own this very thread: the loop unwinds it once the
       // current callback has returned.
       unwind_from_ = std::min(unwind_from_, i);
@@ -321,54 +256,36 @@ Actor* Engine::next_victim() {
 }
 
 Actor& Engine::spawn_impl(int shard, std::string name,
-                          std::function<void(Actor&)> body, bool stackless) {
-  const bool has_body = static_cast<bool>(body);
+                          std::function<void(Actor&)> body) {
   const int id = static_cast<int>(actors_.size());
   std::unique_ptr<Actor> a;
-  if (stackless) {
-    a.reset(new Actor(*this, id, shard, std::move(name), std::move(body),
-                      Actor::StacklessTag{}));
-  } else {
-    try {
-      a.reset(new Actor(*this, id, shard, std::move(name), std::move(body)));
-    } catch (const std::system_error& e) {
-      throw SpawnError(std::string("cannot create a thread for actor #") +
-                       std::to_string(id) + ": " + e.what() +
-                       " — the OS refused another thread; reduce the node "
-                       "count or use stackless actors for non-blocking "
-                       "endpoints");
-    }
+  try {
+    a.reset(new Actor(*this, id, shard, std::move(name), std::move(body)));
+  } catch (const std::system_error& e) {
+    throw SpawnError(std::string("cannot create a thread for actor #") +
+                     std::to_string(id) + ": " + e.what() +
+                     " — the OS refused another thread; reduce the node "
+                     "count or completion threads, or raise the process's "
+                     "thread and address-space limits");
   }
   Actor* p = a.get();
   actors_.push_back(std::move(a));
-  // Stackless identity actors (null body) exist only as run_inline targets;
-  // everything else gets its body started at the current time.
-  if (!stackless || has_body) {
-    schedule_at(now(), [p] { p->grant(); });
-  }
+  schedule_at(now(), [p] { p->grant(); });
   return *p;
 }
 
 Actor& Engine::spawn(std::string name, std::function<void(Actor&)> body) {
   const Actor* cur = tls_current_actor;
   return spawn_impl(cur != nullptr ? cur->shard() : kNoShard, std::move(name),
-                    std::move(body), false);
+                    std::move(body));
 }
 
 Actor& Engine::spawn_on(int shard, std::string name,
                         std::function<void(Actor&)> body) {
-  return spawn_impl(shard, std::move(name), std::move(body), false);
-}
-
-Actor& Engine::spawn_stackless(int shard, std::string name,
-                               std::function<void(Actor&)> body) {
-  return spawn_impl(shard, std::move(name), std::move(body), true);
+  return spawn_impl(shard, std::move(name), std::move(body));
 }
 
 void Engine::wake(Actor& a) {
-  SPLAP_REQUIRE(!a.stackless_,
-                "wake() on a stackless actor (they never block, so there is "
-                "nothing to resume)");
   if (a.finished_) return;
   if (a.wake_pending_) return;
   a.wake_pending_ = true;
@@ -433,7 +350,6 @@ Status Engine::run() {
   if (failure_) std::rethrow_exception(std::exchange(failure_, nullptr));
   bool dead = false;
   for (const auto& a : actors_) {
-    if (a->stackless()) continue;  // no stack, nothing ever blocks
     if (!a->finished()) {
       dead = true;
       SPLAP_WARN(now_, "deadlock: actor %d (%s) blocked on: %s", a->id(),

@@ -58,8 +58,9 @@ class Engine;
 /// Thread-creation exhaustion surfaced from Engine::spawn: at high node
 /// counts pthread_create legitimately fails (address space for stacks,
 /// RLIMIT constraints) and callers need a recoverable error, not an uncaught
-/// std::system_error. Harness layers translate this into
-/// Status::kResourceExhausted.
+/// std::system_error. A spawn inside an event callback or an actor body
+/// escapes Engine::run like any other failure. Harness layers translate it
+/// into Status::kResourceExhausted.
 class SpawnError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -80,18 +81,6 @@ class Actor {
   /// Engine::kill_shard unwinds every actor on a shard, and actors spawned
   /// with plain Engine::spawn inherit their spawner's shard.
   int shard() const { return shard_; }
-
-  /// Stackless (handler-mode) actors run inline on the dispatching thread
-  /// and must never block: suspend/wait/compute abort with a contract
-  /// message. See DESIGN.md "Stackless actors".
-  bool stackless() const { return stackless_; }
-
-  /// Run `fn(*this)` inline under this actor's identity (Actor::current()
-  /// points here for the duration). Only valid on a stackless actor, from
-  /// event/handler context — this is how callback-style endpoints (service
-  /// pools, bench drivers) execute work attributed to the actor without an
-  /// OS-thread handoff.
-  void run_inline(const std::function<void(Actor&)>& fn);
 
   /// Current virtual time (engine clock).
   Time now() const;
@@ -136,12 +125,9 @@ class Actor {
   friend class Engine;
   Actor(Engine& engine, int id, int shard, std::string name,
         std::function<void(Actor&)> body);
-  struct StacklessTag {};
-  Actor(Engine& engine, int id, int shard, std::string name,
-        std::function<void(Actor&)> body, StacklessTag);
 
   // A thread's place in the baton relay. Every thread that can hold the
-  // baton owns one: each thread-backed actor, and Engine::run()'s caller.
+  // baton owns one: each actor, and Engine::run()'s caller.
   // The holder passes the baton by setting the receiver's word to kGo, and a
   // thread only ever waits on its own word, so this release/acquire pair is
   // the only synchronization a handoff needs (every other field is touched
@@ -165,15 +151,14 @@ class Actor {
   };
 
   void thread_main(std::function<void(Actor&)> body);
-  // Called from a wake or spawn event. A stackless actor runs its body
-  // inline here. A thread-backed one is recorded as the engine's next baton
-  // holder; the event loop resumes it once the callback has returned.
+  // Called from a wake or spawn event: records this actor as the engine's
+  // next baton holder; the event loop resumes it once the callback has
+  // returned.
   void grant();
 
   Engine& engine_;
   const int id_;
   const int shard_;
-  const bool stackless_;
   const std::string name_;
   const char* block_reason_ = "not started";
 
@@ -185,7 +170,6 @@ class Actor {
   bool (*gate_)(void*) = nullptr;
   void* gate_pred_ = nullptr;
   Seat seat_;
-  std::function<void(Actor&)> stackless_body_;  // stackless actors only
   std::thread thread_;
 };
 
@@ -232,24 +216,16 @@ class Engine {
     commit(t, n);
   }
 
-  /// Create a thread-backed actor whose body starts executing at the current
-  /// time. The actor inherits the calling actor's shard (kNoShard when called
-  /// from event context). Throws SpawnError when the OS refuses another
-  /// thread.
+  /// Create an actor whose body starts executing, on its own OS thread, at
+  /// the current time. The actor inherits the calling actor's shard
+  /// (kNoShard when called from event context). Throws SpawnError when the
+  /// OS refuses another thread.
   Actor& spawn(std::string name, std::function<void(Actor&)> body);
 
   /// spawn pinned to node shard `shard` (the SPMD harness pins each task to
   /// its node so kill_shard can crash-stop it).
   Actor& spawn_on(int shard, std::string name,
                   std::function<void(Actor&)> body);
-
-  /// Create a stackless (handler-mode) actor: no OS thread, no stack — the
-  /// body runs inline on the dispatching thread at the current virtual time
-  /// and must never block (suspend aborts). With a null body the actor is a
-  /// persistent identity for run_inline callbacks (service endpoints). This
-  /// is what lets one process hold 10^5..10^6 protocol endpoints.
-  Actor& spawn_stackless(int shard, std::string name,
-                         std::function<void(Actor&)> body);
 
   /// Make `a` runnable again at the current time. Safe to call when the
   /// actor is running or already woken (coalesced into one resume).
@@ -274,11 +250,10 @@ class Engine {
   void shutdown();
 
   /// Crash-stop one node: poison and unwind every unfinished actor pinned to
-  /// node shard `shard`, at the current virtual time. Threaded actors unwind
-  /// on their next resume (RAII runs, so libraries see poisoned() and take
-  /// their best-effort teardown path); stackless actors are marked finished
-  /// in place. Actors spawned on the shard afterwards (a restart) start with
-  /// a clean slate. Must be called from event context mid-run, or between
+  /// node shard `shard`, at the current virtual time. Actors unwind on their
+  /// next resume (RAII runs, so libraries see poisoned() and take their
+  /// best-effort teardown path). Actors spawned on the shard afterwards (a
+  /// restart) start with a clean slate. Must be called from event context mid-run, or between
   /// runs. Between runs the unwinds happen before kill_shard returns. Mid-run
   /// the victims are poisoned at once but unwind, in actors() order, right
   /// after the current callback returns and before the next event is popped:
@@ -591,7 +566,7 @@ class Engine {
   }
 
   Actor& spawn_impl(int shard, std::string name,
-                    std::function<void(Actor&)> body, bool stackless);
+                    std::function<void(Actor&)> body);
 
   /// Dispatch one already-popped event (sets now_, runs, recycles the node;
   /// an exception is stored in failure_ after the node is released).
@@ -610,8 +585,8 @@ class Engine {
   Actor* next_victim();
 
   /// Poison every unfinished actor (`all`) or those on `shard`, and unwind
-  /// the thread-backed ones: at once between runs, after the current
-  /// callback mid-run (see kill_shard).
+  /// them: at once between runs, after the current callback mid-run (see
+  /// kill_shard).
   void poison(int shard, bool all);
 
   Time now_ = 0;

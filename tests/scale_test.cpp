@@ -3,10 +3,11 @@
 //  - a 1024-node LAPI smoke with the end-to-end flow-control armed (bounded
 //    RX queues + per-peer credit windows): dissemination barrier, then a
 //    put/get ring, every byte exactly-once;
-//  - the Engine::spawn exhaustion path: thread-creation failure at high node
-//    counts surfaces as Status::kResourceExhausted, not a std::system_error;
-//  - stackless completion-handler pools produce the same results as the
-//    thread-backed default.
+//  - completion-handler pools spawn their threads on the first completion
+//    job, so put/get/fence-only runs hold one OS thread per node;
+//  - the Engine::spawn exhaustion path: thread-creation failure, before the
+//    run or mid-run, surfaces as Status::kResourceExhausted, not an
+//    exception.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #if defined(__unix__)
+#include <pthread.h>
 #include <sys/resource.h>
 #include <unistd.h>
 #endif
@@ -47,10 +49,6 @@ net::Machine::Config scale_machine(int tasks) {
 Config scale_lapi_config() {
   Config lc;
   lc.credit_window = 32;
-  // One OS thread per node is the budget at 1024 nodes; completion
-  // handlers run stackless (none of the library's own completion jobs
-  // block, see DESIGN.md "stackless actors").
-  lc.stackless_completions = true;
   return lc;
 }
 
@@ -108,6 +106,9 @@ TEST(ScaleTest, Smoke1024NodesBarrierPutGetExactlyOnce) {
                      }),
             Status::kOk);
   check_ring(kTasks, slot, fetched);
+  // One OS thread per node: barrier pulses, puts and gets carry no
+  // completion handler, so no context spawned its service threads.
+  EXPECT_EQ(m.engine().actors().size(), static_cast<std::size_t>(kTasks));
   // Exactly one put and one get per task reached the API...
   EXPECT_EQ(m.engine().counters().get("lapi.put"), kTasks);
   EXPECT_EQ(m.engine().counters().get("lapi.get"), kTasks);
@@ -116,54 +117,76 @@ TEST(ScaleTest, Smoke1024NodesBarrierPutGetExactlyOnce) {
   EXPECT_EQ(m.engine().counters().get("lapi.failed_ops"), 0);
 }
 
-TEST(ScaleTest, StacklessCompletionPoolMatchesThreaded) {
-  // An amsend ring whose completion handlers run on the service pool —
-  // the one LAPI path that actually exercises SvcPool. Results must not
-  // depend on whether the pool is thread-backed or stackless.
-  auto run = [](bool stackless) {
-    constexpr int kTasks = 8;
-    net::Machine m(testing::machine_config(kTasks));
-    std::vector<int> completions(kTasks, 0);
-    std::vector<std::byte> landing(
-        static_cast<std::size_t>(kTasks) * 64);
-    Config lc;
-    lc.stackless_completions = stackless;
-    EXPECT_EQ(
-        run_lapi(m, lc,
-                 [&](Context& ctx) {
-                   const int me = ctx.task_id();
-                   const AmHandlerId h = ctx.register_handler(
-                       [&landing, &completions, me](
-                           Context&, const AmDelivery&) -> AmReply {
-                         AmReply r;
-                         r.buffer =
-                             landing.data() +
-                             static_cast<std::size_t>(me) * 64;
-                         r.completion = [&completions, me](Context&,
-                                                           sim::Actor&) {
-                           ++completions[static_cast<std::size_t>(me)];
-                         };
-                         return r;
-                       });
-                   EXPECT_EQ(ctx.gfence(), Status::kOk);
-                   std::vector<std::byte> data(64, std::byte{0x5A});
-                   Counter cmpl;
-                   EXPECT_EQ(ctx.amsend((me + 1) % kTasks, h, {}, data,
-                                        nullptr, nullptr, &cmpl),
-                             Status::kOk);
-                   EXPECT_EQ(ctx.waitcntr(cmpl, 1), Status::kOk);
-                 }),
-        Status::kOk);
-    std::ostringstream os;
-    for (int c : completions) os << c << ",";
-    os << " now=" << m.engine().now();
-    os << " put=" << m.engine().counters().get("lapi.pkts_rx");
-    return os.str();
-  };
-  const std::string threaded = run(false);
-  const std::string stackless = run(true);
-  EXPECT_EQ(threaded, stackless);
-  EXPECT_EQ(threaded.substr(0, 16), "1,1,1,1,1,1,1,1,");
+TEST(ScaleTest, PutGetFenceRunSpawnsNoServiceThread) {
+  constexpr int kTasks = 8;
+  net::Machine m(testing::machine_config(kTasks));
+  std::vector<std::int64_t> slot(kTasks, 0);
+  std::vector<std::int64_t> fetched(kTasks, 0);
+  Config lc;
+  lc.completion_threads = 4;
+  ASSERT_EQ(run_lapi(m, lc,
+                     [&](Context& ctx) {
+                       ring_workload(ctx, kTasks, slot, fetched);
+                     }),
+            Status::kOk);
+  check_ring(kTasks, slot, fetched);
+  EXPECT_EQ(m.engine().actors().size(), static_cast<std::size_t>(kTasks));
+}
+
+/// An amsend ring whose completion handlers run on the service pool — the
+/// one LAPI path that exercises SvcPool. Every task receives one message, so
+/// every context spawns its pool. Returns the per-task completion counts,
+/// the final virtual time and the received packet count; `actors` gets the
+/// number of actors the run spawned.
+std::string amsend_ring(int completion_threads, std::size_t* actors) {
+  constexpr int kTasks = 8;
+  net::Machine m(testing::machine_config(kTasks));
+  std::vector<int> completions(kTasks, 0);
+  std::vector<std::byte> landing(static_cast<std::size_t>(kTasks) * 64);
+  Config lc;
+  lc.completion_threads = completion_threads;
+  EXPECT_EQ(
+      run_lapi(m, lc,
+               [&](Context& ctx) {
+                 const int me = ctx.task_id();
+                 const AmHandlerId h = ctx.register_handler(
+                     [&landing, &completions, me](
+                         Context&, const AmDelivery&) -> AmReply {
+                       AmReply r;
+                       r.buffer =
+                           landing.data() + static_cast<std::size_t>(me) * 64;
+                       r.completion = [&completions, me](Context&,
+                                                         sim::Actor&) {
+                         ++completions[static_cast<std::size_t>(me)];
+                       };
+                       return r;
+                     });
+                 EXPECT_EQ(ctx.gfence(), Status::kOk);
+                 std::vector<std::byte> data(64, std::byte{0x5A});
+                 Counter cmpl;
+                 EXPECT_EQ(ctx.amsend((me + 1) % kTasks, h, {}, data, nullptr,
+                                      nullptr, &cmpl),
+                           Status::kOk);
+                 EXPECT_EQ(ctx.waitcntr(cmpl, 1), Status::kOk);
+               }),
+      Status::kOk);
+  *actors = m.engine().actors().size();
+  std::ostringstream os;
+  for (int c : completions) os << c << ",";
+  os << " now=" << m.engine().now();
+  os << " put=" << m.engine().counters().get("lapi.pkts_rx");
+  return os.str();
+}
+
+TEST(ScaleTest, FirstCompletionSpawnsCompletionThreads) {
+  for (const int threads : {1, 4}) {
+    std::size_t actors = 0;
+    const std::string got = amsend_ring(threads, &actors);
+    EXPECT_EQ(actors, static_cast<std::size_t>(8 * (1 + threads))) << threads;
+    // Pools that spawned every service thread at LAPI_Init gave this same
+    // result: spawning on the first job moves no event.
+    EXPECT_EQ(got, "1,1,1,1,1,1,1,1, now=4179482 put=120") << threads;
+  }
 }
 
 #if defined(__unix__) && !defined(__SANITIZE_ADDRESS__) && \
@@ -191,6 +214,55 @@ TEST(ScaleTest, SpawnExhaustionSurfacesAsResourceExhausted) {
   tight.rlim_cur = static_cast<rlim_t>(vm + (64LL << 20));
   ASSERT_EQ(setrlimit(RLIMIT_AS, &tight), 0);
   const Status st = m.run_spmd([](net::Node&) {});
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &old_as), 0);
+  EXPECT_EQ(st, Status::kResourceExhausted);
+}
+
+/// Bytes of address space one default thread stack takes.
+std::int64_t default_stack_bytes() {
+  pthread_attr_t attr;
+  if (pthread_getattr_default_np(&attr) != 0) return -1;
+  std::size_t bytes = 0;
+  const int rc = pthread_attr_getstacksize(&attr, &bytes);
+  pthread_attr_destroy(&attr);
+  return rc == 0 ? static_cast<std::int64_t>(bytes) : -1;
+}
+
+TEST(ScaleTest, CompletionThreadRefusedMidRunSurfacesAsResourceExhausted) {
+  const std::int64_t stack = default_stack_bytes();
+  if (current_vm_bytes() < 0 || stack <= 0) {
+    GTEST_SKIP() << "no /proc/self/statm or default thread attributes";
+  }
+  // glibc keeps up to 40 MiB of exited threads' stacks for reuse, and a
+  // reused stack maps nothing new: ask for more service threads than that
+  // cache can hold, so at least one spawn must map a fresh stack.
+  Config lc;
+  lc.completion_threads = static_cast<int>((40LL << 20) / stack) + 2;
+  net::Machine m(testing::machine_config(2));
+  struct rlimit old_as;
+  ASSERT_EQ(getrlimit(RLIMIT_AS, &old_as), 0);
+  std::vector<std::byte> landing(64);
+  const Status st = run_lapi(m, lc, [&](Context& ctx) {
+    const AmHandlerId h = ctx.register_handler(
+        [&landing](Context&, const AmDelivery&) -> AmReply {
+          AmReply r;
+          r.buffer = landing.data();
+          r.completion = [](Context&, sim::Actor&) {};
+          return r;
+        });
+    EXPECT_EQ(ctx.gfence(), Status::kOk);
+    if (ctx.task_id() != 0) return;
+    // Room for the message, none for another thread stack: task 1's pool
+    // spawns its threads inside the delivery event, and one spawn fails.
+    struct rlimit tight = old_as;
+    tight.rlim_cur = static_cast<rlim_t>(current_vm_bytes() + stack / 2);
+    ASSERT_EQ(setrlimit(RLIMIT_AS, &tight), 0);
+    std::vector<std::byte> data(64, std::byte{0x5A});
+    Counter cmpl;
+    EXPECT_EQ(ctx.amsend(1, h, {}, data, nullptr, nullptr, &cmpl),
+              Status::kOk);
+    (void)ctx.waitcntr(cmpl, 1);
+  });
   ASSERT_EQ(setrlimit(RLIMIT_AS, &old_as), 0);
   EXPECT_EQ(st, Status::kResourceExhausted);
 }

@@ -1,6 +1,7 @@
 // The legal shapes: an actor body may suspend freely; a handler may reach a
 // guarded dual-mode call when the guarded edge carries an allow annotation;
-// a stackless body that never suspends is fine.
+// a callback stored through an unknown call is a handler entry, and one that
+// never suspends is fine.
 #include "sim/engine.hpp"
 
 namespace splap::lapi {
@@ -14,6 +15,11 @@ void charge(sim::Actor* a, Time t) {
   (void)a;
 }
 
+template <class F>
+void add_poller(F f) {
+  (void)f;
+}
+
 void run(sim::Engine& eng, sim::Actor* a) {
   eng.spawn("worker", [a] {
     a->compute(100);  // actor bodies block freely
@@ -21,7 +27,7 @@ void run(sim::Engine& eng, sim::Actor* a) {
   eng.schedule_after(10, [a] {
     charge(a, 5);  // reaches compute only through the annotated guard
   });
-  eng.spawn_stackless("poller", [a] {
+  add_poller([a] {
     (void)a;  // no suspension here: stays clean
   });
 }

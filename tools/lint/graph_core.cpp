@@ -132,31 +132,28 @@ const std::set<std::string>& call_keywords() {
   return k;
 }
 
-// Lambdas handed to these run in event/handler context (the dispatcher or a
-// stackless pump): they become blocking-reachability entry points. The gate
+// Lambdas handed to these run in event/handler context (the dispatcher):
+// they become blocking-reachability entry points. The gate
 // predicates of Actor::wait and WaitSet::park belong here too: a wake event
 // tests them on whichever thread dispatches it.
 const std::set<std::string>& handler_sinks() {
   static const std::set<std::string> k = {
       "schedule_at",      "schedule_after",   "schedule_thunk",
-      "defer",            "run_inline",       "submit",
-      "submit_completion", "lock_async",      "register_handler",
-      "set_deliver",      "set_overflow",     "wait",
-      "park",
+      "defer",            "submit",           "submit_completion",
+      "lock_async",       "register_handler", "set_deliver",
+      "set_overflow",     "wait",             "park",
   };
   return k;
 }
 
-// Lambdas handed to these run as thread-backed actor bodies: suspension is
-// their whole point, so they are neither entries nor locally-invoked.
+// Lambdas handed to these run as actor bodies: suspension is their whole
+// point, so they are neither entries nor locally-invoked.
 const std::set<std::string>& actor_sinks() {
   static const std::set<std::string> k = {
       "spawn", "spawn_on", "run_spmd", "restart_node",
   };
   return k;
 }
-
-const std::string kStacklessSink = "spawn_stackless";
 
 // "Unbounded" upper arity for variadic parameter lists.
 constexpr int kUnboundedArity = 1 << 20;
@@ -626,7 +623,6 @@ Role Parser::lambda_role(const std::vector<OpenCall>& call_stack,
     }
     *sink = simple;
     if (actor_sinks().count(simple) != 0) return Role::kActorBody;
-    if (simple == kStacklessSink) return Role::kStackless;
     if (handler_sinks().count(simple) != 0) return Role::kHandler;
     // Any other call the literal is handed to — push_back into a handler
     // table, a wrapper — is treated as handler context too: the

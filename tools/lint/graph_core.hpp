@@ -5,13 +5,13 @@
 // can see:
 //
 //   blocking-reachability  no call chain from a handler-context entry point
-//                          (stackless actor body, run_inline callback, SvcPool
-//                          completion job, progress-pump lambda, or a
-//                          Sender/Env/Sink callback-interface implementation)
-//                          may reach a suspension primitive. This turns the
-//                          engine's runtime REQUIRE ("stackless actors never
-//                          block") into a compile-time proof with the full
-//                          call chain as the diagnostic.
+//                          (event callback, SvcPool submit job, progress-pump
+//                          lambda, or a Sender/Env/Sink callback-interface
+//                          implementation) may reach a suspension primitive.
+//                          This turns the engine's runtime REQUIRE ("blocking
+//                          is forbidden in handler/event context") into a
+//                          compile-time proof with the full call chain as the
+//                          diagnostic.
 //   layering-net           src/net must not reach lapi/, mpl/ or ga/ headers
 //   layering-context       transport layers (mpl/, lapi/{reliable,assembly,
 //                          progress}) must not reach lapi/context.hpp —
@@ -75,10 +75,10 @@ enum class Role {
   kPlain,      // ordinary function, or a lambda that escapes through a
                // variable/field (unknown invocation context)
   kHandler,    // lambda passed to an event/handler-context sink
-               // (schedule_*, defer, submit, run_inline, set_deliver, ...)
+               // (schedule_*, defer, submit, set_deliver, ...) or to any
+               // other call that stores it
   kActorBody,  // lambda passed to spawn/spawn_on/run_spmd/restart_node —
-               // runs as a thread-backed actor body, may suspend freely
-  kStackless,  // lambda passed to spawn_stackless — must never suspend
+               // runs as an actor body, may suspend freely
 };
 
 struct Function {

@@ -194,7 +194,7 @@ TEST(GraphBlocking, SuspendUnderHandlerFailsWithTheFullChain) {
   }
 }
 
-TEST(GraphBlocking, ActorBodiesGuardedEdgesAndCleanStacklessPass) {
+TEST(GraphBlocking, ActorBodiesGuardedEdgesAndCleanCallbacksPass) {
   const std::vector<Violation> v = analyze(scenario("blocking_good"));
   EXPECT_TRUE(v.empty()) << v[0].file << ":" << v[0].line << " ["
                          << v[0].rule << "] " << v[0].message;

@@ -1,14 +1,13 @@
 // blocking-reachability: prove that no handler-context entry point can reach
-// a suspension primitive, turning the engine's runtime REQUIRE ("stackless
-// actors never block", "run_inline bodies never suspend") into a
-// compile-time property with the full call chain as the diagnostic.
+// a suspension primitive, turning the engine's runtime REQUIRE ("blocking is
+// forbidden in handler/event context") into a compile-time property with the
+// full call chain as the diagnostic.
 //
 // Entry points (collected outside src/sim — the engine itself is the trusted
 // base that IMPLEMENTS suspension and the grant/park handoff):
 //   - lambdas passed to handler-context sinks (schedule_*, defer, submit,
-//     submit_completion, run_inline, lock_async, register_handler,
+//     submit_completion, lock_async, register_handler,
 //     set_deliver/set_overflow, or any other stored-callback registration)
-//   - lambdas passed to spawn_stackless
 //   - gate predicates passed to Actor::wait / WaitSet::park, which the wake
 //     event tests in handler context
 //   - implementations of the narrow callback interfaces the transport uses
@@ -198,8 +197,7 @@ std::vector<int> collect_entries(const Model& m) {
   for (std::size_t i = 0; i < m.fns.size(); ++i) {
     const Function& f = m.fns[i];
     if (in_sim(f)) continue;
-    if (f.is_lambda &&
-        (f.role == Role::kHandler || f.role == Role::kStackless)) {
+    if (f.is_lambda && f.role == Role::kHandler) {
       entries.insert(static_cast<int>(i));
     }
     if (!f.is_lambda) {
@@ -238,7 +236,6 @@ std::vector<int> collect_entries(const Model& m) {
 
 std::string entry_label(const Function& f) {
   if (!f.is_lambda) return f.qual;
-  if (f.role == Role::kStackless) return "stackless actor body " + f.qual;
   if (f.sink.empty()) return f.qual;
   return f.qual + " (callback passed to " + f.sink + ")";
 }
